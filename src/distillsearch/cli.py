@@ -190,8 +190,8 @@ def cmd_distill(args) -> dict:
     test_ids = [ex.ids for ex in data.test]
     test_labels = [ex.label for ex in data.test]
     test_acc = distill_mod.agreement(student, test_labels, test_ids, vocab_map)
-    teacher_preds = [int(np.argmax(nn.forward(teacher, ids))) for ids in test_ids]
-    teacher_agree = distill_mod.agreement(student, teacher_preds, test_ids, vocab_map)
+    teacher_agree = distill_mod.agreement(student, nn.predict_logits(teacher, test_ids),
+                                         test_ids, vocab_map)
     print(f"student: test acc {test_acc:.4f}, teacher agreement {teacher_agree:.4f}")
     return {"student_config": student_config.to_dict(),
             "temperature": args.temperature, "lr": args.lr,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -67,25 +68,18 @@ def rule_label(spec: SyntheticTaskSpec, ids) -> int:
     return int(any(a == t1 and b == t2 for a, b in zip(ids, ids[1:])))
 
 
-def _random_negative(spec: SyntheticTaskSpec, rng, seen, max_tries=200) -> list[int]:
+def _random_example(spec: SyntheticTaskSpec, rng, seen, label: int, max_tries=200) -> list[int]:
+    """A fresh sequence of the given label: positives get the trigger bigram
+    planted at a random position, negatives are redrawn until they lack it."""
     for _ in range(max_tries):
         length = int(rng.integers(spec.min_seq_len, spec.max_seq_len + 1))
         ids = rng.integers(1, spec.vocab_size, size=length).tolist()
-        if rule_label(spec, ids) == 0 and tuple(ids) not in seen:
+        if label:
+            pos = int(rng.integers(0, length - 1))
+            ids[pos], ids[pos + 1] = spec.rule_params
+        if rule_label(spec, ids) == label and tuple(ids) not in seen:
             return ids
-    raise RuntimeError("could not generate a fresh negative example")
-
-
-def _random_positive(spec: SyntheticTaskSpec, rng, seen, max_tries=200) -> list[int]:
-    t1, t2 = spec.rule_params
-    for _ in range(max_tries):
-        length = int(rng.integers(spec.min_seq_len, spec.max_seq_len + 1))
-        ids = rng.integers(1, spec.vocab_size, size=length).tolist()
-        pos = int(rng.integers(0, length - 1))
-        ids[pos], ids[pos + 1] = t1, t2
-        if tuple(ids) not in seen:
-            return ids
-    raise RuntimeError("could not generate a fresh positive example")
+    raise RuntimeError(f"could not generate a fresh example with label {label}")
 
 
 def generate(spec: SyntheticTaskSpec) -> Corpus:
@@ -97,7 +91,7 @@ def generate(spec: SyntheticTaskSpec) -> Corpus:
         examples = []
         for i in range(n):
             label = i % 2  # exact balance, shuffled below
-            ids = (_random_positive if label else _random_negative)(spec, rng, seen)
+            ids = _random_example(spec, rng, seen, label)
             seen.add(tuple(ids))
             examples.append(Example(ids, label))
         rng.shuffle(examples)
@@ -118,42 +112,14 @@ def generate(spec: SyntheticTaskSpec) -> Corpus:
 # teacher training
 
 
-@dataclass(frozen=True)
-class TeacherTrainParams:
-    learning_rate: float = 1e-3
-    epochs: int = 10
-    batch_size: int = 64
-    rng_seed: int = 0
-    max_grad_norm: float | None = 1.0  # Adam alone is unstable here at 1e-3
-
-
-def _softmax(x):
-    z = x - x.max(-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(-1, keepdims=True)
-
-
-def _batches_by_length(indices, lengths, batch_size):
-    by_len: dict[int, list[int]] = {}
-    for idx in indices:
-        by_len.setdefault(lengths[idx], []).append(idx)
-    for length in sorted(by_len):
-        bucket = by_len[length]
-        for start in range(0, len(bucket), batch_size):
-            yield bucket[start:start + batch_size]
+TeacherTrainParams = nn.TrainParams
 
 
 def accuracy(model: EncoderModel, examples: list[Example]) -> float:
     if not examples:
         raise ValueError("empty evaluation set")
-    hits = 0
-    lengths = [len(ex.ids) for ex in examples]
-    for batch in _batches_by_length(range(len(examples)), lengths, 64):
-        ids = np.array([examples[i].ids for i in batch])
-        logits, _ = nn.forward_batch(model, ids)
-        preds = logits.argmax(-1)
-        hits += sum(int(preds[j]) == examples[i].label for j, i in enumerate(batch))
-    return hits / len(examples)
+    preds = nn.predict_logits(model, [ex.ids for ex in examples]).argmax(-1)
+    return sum(int(p) == ex.label for p, ex in zip(preds, examples)) / len(examples)
 
 
 @dataclass
@@ -172,33 +138,16 @@ def train_teacher(config: ArchConfig, labeled: list[Example],
         raise ValueError("labeled split is empty")
     rng = np.random.default_rng(params.rng_seed)
     model = nn.init(config, rng)
-    state = nn.TrainState(model, rng_seed=params.rng_seed)
-    lengths = [len(ex.ids) for ex in labeled]
-    n = len(labeled)
+    labels = np.array([ex.label for ex in labeled])
 
-    epoch_losses = []
-    for _ in range(params.epochs):
-        order = rng.permutation(n).tolist()
-        total = 0.0
-        for batch in _batches_by_length(order, lengths, params.batch_size):
-            ids = np.array([labeled[i].ids for i in batch])
-            labels = np.array([labeled[i].label for i in batch])
-            logits, cache = nn.forward_batch(model, ids, want_cache=True)
-            probs = _softmax(logits)
-            picked = np.clip(probs[np.arange(len(batch)), labels], 1e-300, None)
-            batch_loss = -np.log(picked).mean()
-            if not np.isfinite(batch_loss):
-                raise FloatingPointError(f"teacher training diverged at step {state.step}")
-            total += -np.log(picked).sum()
-            dlogits = probs
-            dlogits[np.arange(len(batch)), labels] -= 1.0
-            dlogits /= len(batch)
-            grads = nn.backward(model, cache, dlogits)
-            if params.max_grad_norm is not None:
-                nn.clip_global_norm(grads, params.max_grad_norm)
-            nn.sgd_adam_step(state, grads, params.learning_rate)
-        epoch_losses.append(total / n)
+    def cross_entropy(batch, logits):
+        rows, picked = np.arange(len(batch)), labels[batch]
+        probs = nn.softmax(logits)
+        per_example = -np.log(np.clip(probs[rows, picked], 1e-300, None))
+        probs[rows, picked] -= 1.0
+        return per_example, probs
 
+    epoch_losses = nn.train_loop(model, rng, [ex.ids for ex in labeled], cross_entropy, params)
     val_acc = accuracy(model, val) if val else float("nan")
     train_acc = accuracy(model, labeled)
     return TeacherResult(model, val_accuracy=val_acc, train_accuracy=train_acc,
@@ -210,7 +159,6 @@ def train_teacher(config: ArchConfig, labeled: list[Example],
 
 
 def save_corpus(corpus: Corpus, out_dir) -> None:
-    from pathlib import Path
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "task_spec.json").write_text(json.dumps(asdict(corpus.spec), indent=2))
@@ -225,7 +173,6 @@ def save_corpus(corpus: Corpus, out_dir) -> None:
 
 
 def load_corpus(out_dir) -> Corpus:
-    from pathlib import Path
     out = Path(out_dir)
     doc = json.loads((out / "task_spec.json").read_text())
     doc["rule_params"] = tuple(doc["rule_params"])

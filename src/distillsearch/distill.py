@@ -68,66 +68,63 @@ class LogitDataset:
 
 
 @dataclass(frozen=True)
-class DistillParams:
-    temperature: float = 2.0
-    learning_rate: float = 1e-3
+class DistillParams(nn.TrainParams):
     epochs: int = 20
-    batch_size: int = 64
-    rng_seed: int = 0
+    temperature: float = 2.0
     vocab_map: dict[int, int] | None = None
-    max_grad_norm: float | None = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+
+
+def _valid(config: ArchConfig, ids) -> bool:
+    try:
+        nn.check_inputs(config, np.asarray(ids, dtype=np.int64).reshape(1, -1))
+    except InvalidInputError:
+        return False
+    return True
 
 
 def capture_teacher_logits(teacher: EncoderModel, unlabeled,
                            strict: bool = True) -> LogitDataset:
-    """Query the fixed teacher on every sequence; store raw logits."""
-    records = []
-    skipped = 0
-    for ids in unlabeled:
-        try:
-            logits = nn.forward(teacher, ids)
-        except InvalidInputError:
-            if strict:
-                raise
-            skipped += 1
-            continue
-        records.append(LogitRecord(list(map(int, ids)), logits))
-    if skipped:
-        print(f"capture: skipped {skipped} sequences with invalid tokens")
-    return LogitDataset(records, num_classes=teacher.config.num_classes)
+    """Query the fixed teacher on every sequence; store raw logits.
+
+    Unless ``strict``, sequences the teacher rejects are skipped."""
+    seqs = [list(map(int, ids)) for ids in unlabeled]
+    if not strict:
+        kept = [ids for ids in seqs if _valid(teacher.config, ids)]
+        if len(kept) < len(seqs):
+            print(f"capture: skipped {len(seqs) - len(kept)} invalid sequences")
+        seqs = kept
+    logits = nn.predict_logits(teacher, seqs)
+    return LogitDataset([LogitRecord(ids, row) for ids, row in zip(seqs, logits)],
+                        num_classes=teacher.config.num_classes)
 
 
-def _log_softmax(x, axis=-1):
-    z = x - x.max(axis=axis, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-
-
-def _softmax(x, axis=-1):
-    return np.exp(_log_softmax(x, axis=axis))
-
-
-def soft_ce_loss(p, q, temperature: float) -> float:
-    """Temperature-softened soft cross-entropy between logit vectors."""
+def soft_ce(p, q, temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-record soft cross-entropy of student logits q against teacher
+    logits p, and its gradient with respect to q."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError("logit vectors must have equal shape")
     t = float(temperature)
-    soft_targets = _softmax(p / t)
-    log_student = _log_softmax(q / t)
-    return float(-(t * t) * (soft_targets * log_student).sum(-1).mean())
+    soft_targets = np.exp(nn.log_softmax(p / t))
+    log_student = nn.log_softmax(q / t)
+    loss = -(t * t) * (soft_targets * log_student).sum(-1)
+    return loss, t * (np.exp(log_student) - soft_targets)
+
+
+def soft_ce_loss(p, q, temperature: float) -> float:
+    """Temperature-softened soft cross-entropy between logit vectors."""
+    return float(soft_ce(p, q, temperature)[0].mean())
 
 
 def soft_ce_loss_grad(p, q, temperature: float) -> np.ndarray:
     """d loss / d q for one pair of logit vectors (or a batch)."""
-    t = float(temperature)
-    return t * (_softmax(np.asarray(q) / t) - _softmax(np.asarray(p) / t))
+    return soft_ce(p, q, temperature)[1]
 
 
 def build_vocab_map(corpus, teacher_vocab: int, student_vocab: int) -> dict[int, int]:
@@ -147,17 +144,6 @@ def apply_vocab_map(ids, vocab_map: dict[int, int] | None) -> list[int]:
     return [vocab_map.get(int(i), 0) for i in ids]
 
 
-def _batches_by_length(indices, lengths, batch_size):
-    """Group shuffled indices into equal-length batches, preserving order."""
-    by_len: dict[int, list[int]] = {}
-    for idx in indices:
-        by_len.setdefault(lengths[idx], []).append(idx)
-    for length in sorted(by_len):
-        bucket = by_len[length]
-        for start in range(0, len(bucket), batch_size):
-            yield bucket[start:start + batch_size]
-
-
 @dataclass
 class DistillTrace:
     epoch_losses: list[float] = field(default_factory=list)
@@ -165,19 +151,19 @@ class DistillTrace:
     final_loss: float = 0.0
 
 
+def _inputs(data: LogitDataset, vocab_map) -> tuple[list[list[int]], np.ndarray]:
+    """Student ids (mapped once) and the (records, classes) teacher logits."""
+    return ([apply_vocab_map(r.token_ids, vocab_map) for r in data.records],
+            np.stack([r.teacher_logits for r in data.records]))
+
+
+def _mean_loss(model: EncoderModel, seqs, targets, temperature: float) -> float:
+    return float(soft_ce(targets, nn.predict_logits(model, seqs), temperature)[0].mean())
+
+
 def dataset_loss(model: EncoderModel, data: LogitDataset, params: DistillParams) -> float:
     """Mean soft cross-entropy of the student over the whole dataset."""
-    total = 0.0
-    lengths = [len(r.token_ids) for r in data.records]
-    for batch in _batches_by_length(range(len(data)), lengths, params.batch_size):
-        ids = np.array([apply_vocab_map(data.records[i].token_ids, params.vocab_map)
-                        for i in batch])
-        targets = np.stack([data.records[i].teacher_logits for i in batch])
-        logits, _ = nn.forward_batch(model, ids)
-        t = params.temperature
-        per = -(t * t) * (_softmax(targets / t) * _log_softmax(logits / t)).sum(-1)
-        total += per.sum()
-    return total / len(data)
+    return _mean_loss(model, *_inputs(data, params.vocab_map), params.temperature)
 
 
 def distill_train(student_config: ArchConfig, data: LogitDataset,
@@ -189,34 +175,13 @@ def distill_train(student_config: ArchConfig, data: LogitDataset,
     """
     rng = np.random.default_rng(params.rng_seed)
     student = nn.init(student_config, rng)
-    state = nn.TrainState(student, rng_seed=params.rng_seed)
-    n = len(data)
-    lengths = [len(r.token_ids) for r in data.records]
+    seqs, targets = _inputs(data, params.vocab_map)
+    t = params.temperature
 
-    trace = DistillTrace()
-    trace.initial_loss = dataset_loss(student, data, params)
-    for _ in range(params.epochs):
-        order = rng.permutation(n)
-        epoch_total = 0.0
-        for batch in _batches_by_length(order.tolist(), lengths, params.batch_size):
-            ids = np.array([apply_vocab_map(data.records[i].token_ids, params.vocab_map)
-                            for i in batch])
-            targets = np.stack([data.records[i].teacher_logits for i in batch])
-            logits, cache = nn.forward_batch(student, ids, want_cache=True)
-            t = params.temperature
-            per = -(t * t) * (_softmax(targets / t) * _log_softmax(logits / t)).sum(-1)
-            batch_loss = per.mean()
-            if not np.isfinite(batch_loss):
-                raise FloatingPointError(
-                    f"distillation diverged: loss={batch_loss} at step {state.step}")
-            epoch_total += per.sum()
-            dlogits = soft_ce_loss_grad(targets, logits, t) / len(batch)
-            grads = nn.backward(student, cache, dlogits)
-            if params.max_grad_norm is not None:
-                nn.clip_global_norm(grads, params.max_grad_norm)
-            nn.sgd_adam_step(state, grads, params.learning_rate)
-        trace.epoch_losses.append(epoch_total / n)
-    trace.final_loss = dataset_loss(student, data, params)
+    trace = DistillTrace(initial_loss=_mean_loss(student, seqs, targets, t))
+    trace.epoch_losses = nn.train_loop(
+        student, rng, seqs, lambda batch, logits: soft_ce(targets[batch], logits, t), params)
+    trace.final_loss = _mean_loss(student, seqs, targets, t)
     student.vocab_map = params.vocab_map
     return student, trace
 
@@ -234,9 +199,6 @@ def agreement(student: EncoderModel, references, eval_ids,
         raise ValueError("empty evaluation set")
     if len(eval_ids) != len(references):
         raise ValueError("eval set and references differ in length")
-    hits = 0
-    for ids, ref in zip(eval_ids, references):
-        logits = nn.forward(student, apply_vocab_map(ids, vocab_map))
-        label = int(np.argmax(ref)) if np.ndim(ref) > 0 else int(ref)
-        hits += int(np.argmax(logits)) == label
-    return hits / len(eval_ids)
+    preds = nn.predict_logits(student, [apply_vocab_map(ids, vocab_map) for ids in eval_ids])
+    labels = [int(np.argmax(ref)) if np.ndim(ref) > 0 else int(ref) for ref in references]
+    return sum(int(p) == label for p, label in zip(preds.argmax(-1), labels)) / len(eval_ids)

@@ -165,13 +165,20 @@ def _gelu_grad(x):
     return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
 
 
-def _softmax(x):
+def softmax(x):
     z = x - x.max(-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(-1, keepdims=True)
 
 
-def _check_inputs(config: ArchConfig, ids: np.ndarray):
+def log_softmax(x):
+    z = x - x.max(-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(-1, keepdims=True))
+
+
+def check_inputs(config: ArchConfig, ids: np.ndarray):
+    """Raise :class:`InvalidInputError` unless ``ids`` is a (batch, seq) array
+    the model accepts."""
     if ids.ndim != 2 or ids.shape[1] < 1:
         raise InvalidInputError(f"expected (batch, seq) ids, got shape {ids.shape}")
     if ids.shape[1] > config.max_seq_len:
@@ -197,7 +204,7 @@ def forward_batch(model: EncoderModel, ids: np.ndarray,
     cfg = model.config
     w = model.weights
     ids = np.asarray(ids, dtype=np.int64)
-    _check_inputs(cfg, ids)
+    check_inputs(cfg, ids)
     B, s = ids.shape
     A, dh = cfg.heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dh)
@@ -217,7 +224,7 @@ def forward_batch(model: EncoderModel, ids: np.ndarray,
         kh = k.reshape(B, s, A, dh).transpose(0, 2, 1, 3)
         vh = v.reshape(B, s, A, dh).transpose(0, 2, 1, 3)
         scores = matmul(qh, kh.transpose(0, 1, 3, 2), counter) * scale
-        probs = _softmax(scores)
+        probs = softmax(scores)
         ctx_h = matmul(probs, vh, counter)
         ctx = ctx_h.transpose(0, 2, 1, 3).reshape(B, r, cfg.hidden)
         attn_out = matmul(ctx, w[p + "o_w"], counter) + w[p + "o_b"]
@@ -250,6 +257,30 @@ def forward(model: EncoderModel, token_ids, counter: FlopCounter | None = None) 
     ids = np.asarray(token_ids, dtype=np.int64).reshape(1, -1)
     logits, _ = forward_batch(model, ids, counter=counter)
     return logits[0]
+
+
+PREDICT_BATCH = 64
+
+
+def _batches_by_length(indices, lengths, batch_size):
+    """Group indices into batches of equal sequence length, shortest length
+    first, keeping the given order within each length."""
+    by_len: dict[int, list[int]] = {}
+    for idx in indices:
+        by_len.setdefault(lengths[idx], []).append(idx)
+    for length in sorted(by_len):
+        bucket = by_len[length]
+        for start in range(0, len(bucket), batch_size):
+            yield bucket[start:start + batch_size]
+
+
+def predict_logits(model: EncoderModel, seqs) -> np.ndarray:
+    """(len(seqs), num_classes) logits in input order; sequences of equal
+    length run together, PREDICT_BATCH at a time."""
+    logits = np.empty((len(seqs), model.config.num_classes))
+    for batch in _batches_by_length(range(len(seqs)), [len(ids) for ids in seqs], PREDICT_BATCH):
+        logits[batch], _ = forward_batch(model, np.array([seqs[i] for i in batch]))
+    return logits
 
 
 def backward(model: EncoderModel, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
@@ -338,7 +369,6 @@ class TrainState:
     adam_m: dict[str, np.ndarray] = field(default_factory=dict)
     adam_v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not self.adam_m:
@@ -376,6 +406,55 @@ def sgd_adam_step(state: TrainState, grads: dict[str, np.ndarray], lr: float) ->
         state.model.weights[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     state.step = t
     return state
+
+
+# ---------------------------------------------------------------------------
+# training loop, shared by the teacher (hard labels) and the student (soft targets)
+
+
+@dataclass(frozen=True)
+class TrainParams:
+    learning_rate: float = 1e-3
+    epochs: int = 10
+    batch_size: int = 64
+    rng_seed: int = 0
+    max_grad_norm: float | None = 1.0  # Adam alone is unstable on the teacher at 1e-3
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+
+
+def train_loop(model: EncoderModel, rng: np.random.Generator, seqs,
+               loss_and_grad, params: TrainParams) -> list[float]:
+    """Mini-batch Adam on ``model`` in place; returns each epoch's mean loss.
+
+    Every epoch shuffles ``seqs`` with ``rng`` and batches equal lengths
+    together. ``loss_and_grad(batch, logits)`` gets the batch's indices into
+    ``seqs`` and its logits, and returns the per-example loss and its
+    gradient with respect to the logits.
+    """
+    state = TrainState(model)
+    lengths = [len(ids) for ids in seqs]
+    epoch_losses = []
+    for _ in range(params.epochs):
+        total = 0.0
+        for batch in _batches_by_length(rng.permutation(len(seqs)).tolist(), lengths,
+                                        params.batch_size):
+            logits, cache = forward_batch(model, np.array([seqs[i] for i in batch]),
+                                          want_cache=True)
+            per_example, dlogits = loss_and_grad(batch, logits)
+            loss = per_example.sum()
+            if not np.isfinite(loss):
+                raise FloatingPointError(
+                    f"training diverged: loss={loss / len(batch)} at step {state.step}")
+            total += loss
+            grads = backward(model, cache, dlogits / len(batch))
+            if params.max_grad_norm is not None:
+                clip_global_norm(grads, params.max_grad_norm)
+            sgd_adam_step(state, grads, params.learning_rate)
+        epoch_losses.append(total / len(seqs))
+    return epoch_losses
 
 
 # ---------------------------------------------------------------------------
