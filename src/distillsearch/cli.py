@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -43,11 +44,26 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_report(out: Path, command: str, report: dict) -> None:
+def _read_report(out: Path) -> dict:
     path = out / "report.json"
-    merged = json.loads(path.read_text()) if path.exists() else {}
-    merged[command] = report
-    path.write_text(json.dumps(merged, indent=2))
+    if not path.exists():
+        return {}
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise CliError(f"{path} is not valid JSON ({exc}); repair or delete it",
+                       EXIT_VALIDATION)
+    if not isinstance(doc, dict):
+        raise CliError(f"{path} does not hold a JSON object; repair or delete it",
+                       EXIT_VALIDATION)
+    return doc
+
+
+def _write_report(out: Path, doc: dict) -> None:
+    """Replace report.json in one step, so an interrupted write leaves the old file."""
+    tmp = out / "report.json.tmp"
+    tmp.write_text(json.dumps(doc, indent=2))
+    os.replace(tmp, out / "report.json")
 
 
 def _require(path: Path, produced_by: str) -> Path:
@@ -135,10 +151,7 @@ def cmd_teach(args) -> dict:
     params = corpus_mod.TeacherTrainParams(
         learning_rate=args.lr, epochs=args.epochs,
         batch_size=args.batch_size, rng_seed=args.seed)
-    try:
-        result = corpus_mod.train_teacher(config, data.labeled, params, val=data.val)
-    except FloatingPointError as exc:
-        raise CliError(str(exc), EXIT_NUMERICAL)
+    result = corpus_mod.train_teacher(config, data.labeled, params, val=data.val)
     nn.save_checkpoint(result.model, out / "teacher.ckpt")
     test_acc = corpus_mod.accuracy(result.model, data.test)
     print(f"teacher: val acc {result.val_accuracy:.4f}, test acc {test_acc:.4f}")
@@ -181,10 +194,7 @@ def cmd_distill(args) -> dict:
     params = distill_mod.DistillParams(
         temperature=args.temperature, learning_rate=args.lr, epochs=args.epochs,
         batch_size=args.batch_size, rng_seed=args.seed, vocab_map=vocab_map)
-    try:
-        student, trace = distill_mod.distill_train(student_config, dataset, params)
-    except FloatingPointError as exc:
-        raise CliError(str(exc), EXIT_NUMERICAL)
+    student, trace = distill_mod.distill_train(student_config, dataset, params)
     nn.save_checkpoint(student, out / "student.ckpt")
 
     test_ids = [ex.ids for ex in data.test]
@@ -260,8 +270,8 @@ def cmd_bench(args) -> dict:
 
 def cmd_report(args) -> dict:
     out = _out_dir(args)
-    path = _require(out / "report.json", "any command")
-    doc = json.loads(path.read_text())
+    _require(out / "report.json", "any command")
+    doc = _read_report(out)
     print(json.dumps(doc, indent=2))
     return {"commands": sorted(doc)}
 
@@ -335,17 +345,21 @@ def main(argv=None) -> int:
     out = _out_dir(args)
     start = time.perf_counter()
     try:
+        previous = _read_report(out)
         body = args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except nn.InvalidInputError as exc:
+    except ValueError as exc:  # bad input or artifact, params validation, malformed JSON
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     report = {"command": args.command, "seed": args.seed,
               "wall_time_s": time.perf_counter() - start, **body}
     if args.command != "report":
-        _write_report(out, args.command, report)
+        _write_report(out, {**previous, args.command: report})
     return 0
 
 

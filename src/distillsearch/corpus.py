@@ -1,4 +1,4 @@
-"""Synthetic sequence-classification data and teacher training.
+"""Synthetic sequence-classification data and the teacher's loss.
 
 Stands in for a full-scale labeled corpus at desk scale: a controllable
 binary rule gives ground-truth labels with an exact re-check oracle.
@@ -6,6 +6,10 @@ The default rule labels a sequence positive iff a designated trigger
 bigram occurs (two fixed tokens, adjacent, in order). Generated data is
 split into disjoint labeled / unlabeled / validation / test parts; the
 unlabeled part ships without labels and exists only to query a teacher.
+
+The teacher trains with hard-label cross-entropy through
+:func:`nn.train_loop`, the loop the student shares; :func:`accuracy`
+runs on :func:`nn.predict_logits`.
 """
 
 from __future__ import annotations

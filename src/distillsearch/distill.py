@@ -6,8 +6,11 @@ soft cross-entropy
 
     loss(p, q, T) = -T^2 * sum_c softmax(p/T)_c * log softmax(q/T)_c
 
-averaged over records. Gradients flow to the student logits q only;
-the teacher stays fixed.
+averaged over records, written once in :func:`soft_ce`. Gradients flow
+to the student logits q only; the teacher stays fixed. The student
+trains through :func:`nn.train_loop`, the teacher's loop with this loss
+in place of hard-label cross-entropy, and every evaluation (capture,
+dataset loss, agreement) runs on :func:`nn.predict_logits`.
 """
 
 from __future__ import annotations

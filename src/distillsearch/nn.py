@@ -3,7 +3,9 @@
 Parameterized exactly by :class:`~distillsearch.archspace.ArchConfig`:
 the scalar weight count always equals ``estimators.param_count`` and an
 instrumented forward pass tallies exactly ``estimators.forward_flops``.
-Used as both teacher and student at desk scale.
+Used as both teacher and student at desk scale, so it also holds the one
+engine both run on: :func:`train_loop` (any loss over the logits) and
+:func:`predict_logits` (batched inference in input order).
 
 Layout (post-norm BERT-family): token + position embeddings, embedding
 layer-norm, then per layer a bidirectional self-attention block and a
@@ -15,10 +17,9 @@ checkpoints store fp32.
 
 from __future__ import annotations
 
-import io
 import json
-import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.special import erf
@@ -423,6 +424,8 @@ class TrainParams:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
 
 
 def train_loop(model: EncoderModel, rng: np.random.Generator, seqs,
@@ -480,23 +483,30 @@ def save_checkpoint(model: EncoderModel, path) -> None:
 
 
 def load_checkpoint(path) -> EncoderModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint")
-        header = json.loads(fh.readline().decode())
+    """Read a checkpoint written by :func:`save_checkpoint`; raise ValueError
+    unless its header lists exactly the tensors its config implies and the
+    payload holds exactly their bytes."""
+    raw = Path(path).read_bytes()
+    end = raw.find(b"\n", len(_MAGIC))
+    if not raw.startswith(_MAGIC) or end < 0:
+        raise ValueError(f"{path}: not a model checkpoint")
+    try:
+        header = json.loads(raw[len(_MAGIC):end])
         config = ArchConfig.from_dict(header["config"])
-        weights = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 4)
-            if len(raw) != count * 4:
-                raise ValueError(f"{path}: truncated tensor {entry['name']}")
-            weights[entry["name"]] = (
-                np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-            )
-    vocab_map = header.get("vocab_map")
-    if vocab_map is not None:
-        vocab_map = {int(k): int(v) for k, v in vocab_map}
+        tensors = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
+        vocab_map = header.get("vocab_map")
+        if vocab_map is not None:
+            vocab_map = {int(k): int(v) for k, v in vocab_map}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: bad checkpoint header: {exc!r}") from exc
+    expected = [(name, _weight_shape(name, config)) for name in weight_names(config)]
+    if tensors != expected:
+        raise ValueError(f"{path}: header tensors do not match its config")
+    sizes = [int(np.prod(shape)) for _, shape in expected]
+    if len(raw) - (end + 1) != 4 * sum(sizes):
+        raise ValueError(f"{path}: payload is {len(raw) - end - 1} bytes, "
+                         f"its tensors need {4 * sum(sizes)}")
+    flat = np.frombuffer(raw, dtype="<f4", offset=end + 1).astype(np.float64)
+    chunks = np.split(flat, np.cumsum(sizes)[:-1])
+    weights = {name: chunk.reshape(shape) for (name, shape), chunk in zip(expected, chunks)}
     return EncoderModel(config, weights, vocab_map)

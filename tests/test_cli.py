@@ -5,6 +5,7 @@ import pytest
 
 from distillsearch import corpus, distill, nn
 from distillsearch.archspace import ArchConfig
+from distillsearch import cli
 from distillsearch.cli import main
 
 TINY_TEACHER = ArchConfig(layers=1, hidden=16, heads=2, ffn=32, vocab=300,
@@ -144,6 +145,39 @@ class TestBench:
         assert run(out, "bench", "--n", "20", "--repeats", "1") == 2
 
 
+class TestErrorContract:
+    @pytest.fixture
+    def captured_dir(self, small_corpus_dir):
+        """A teacher, its captured logits and a student config."""
+        out = small_corpus_dir
+        nn.save_checkpoint(nn.init(TINY_TEACHER, 0), out / "teacher.ckpt")
+        assert run(out, "capture") == 0
+        (out / "arch.json").write_text(ArchConfig(layers=1, hidden=16, heads=2, ffn=32,
+                                                  vocab=300, max_seq_len=32).to_json())
+        return out
+
+    def test_teach_batch_size_zero_exit_2(self, small_corpus_dir, capsys):
+        assert run(small_corpus_dir, "teach", "--batch-size", "0") == 2
+        assert "batch_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--batch-size", "0"], ["--temperature", "0"]])
+    def test_distill_bad_params_exit_2(self, captured_dir, flag):
+        assert run(captured_dir, "distill", *flag) == 2
+        assert not (captured_dir / "student.ckpt").exists()
+
+    def test_divergence_exit_4(self, small_corpus_dir, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise FloatingPointError("training diverged")
+        monkeypatch.setattr(cli.corpus_mod, "train_teacher", diverge)
+        assert run(small_corpus_dir, "teach") == 4
+
+    def test_truncated_checkpoint_exit_2(self, small_corpus_dir):
+        path = small_corpus_dir / "teacher.ckpt"
+        nn.save_checkpoint(nn.init(TINY_TEACHER, 0), path)
+        path.write_bytes(path.read_bytes()[:100])
+        assert run(small_corpus_dir, "capture") == 2
+
+
 class TestReport:
     def test_report_lists_commands(self, tmp_path, capsys):
         run(tmp_path, "--seed", "0", "search", "--target-mb", "3",
@@ -156,3 +190,17 @@ class TestReport:
 
     def test_report_without_runs_exit_3(self, tmp_path):
         assert run(tmp_path, "report") == 3
+
+    def test_truncated_report_exit_2_before_the_work(self, tmp_path, capsys):
+        search = ["search", "--target-mb", "3", "--iterations", "2", "--population", "5",
+                  "--child-size", "5"]
+        assert run(tmp_path, *search) == 0
+        assert not (tmp_path / "report.json.tmp").exists()
+        report = tmp_path / "report.json"
+        report.write_text(report.read_text()[:40])
+        (tmp_path / "ga_result.json").unlink()
+        capsys.readouterr()
+        assert run(tmp_path, *search) == 2
+        assert "report.json" in capsys.readouterr().err
+        assert not (tmp_path / "ga_result.json").exists()
+        assert run(tmp_path, "report") == 2

@@ -15,6 +15,7 @@ from distillsearch.distill import (
     capture_teacher_logits,
     dataset_loss,
     distill_train,
+    soft_ce,
     soft_ce_loss,
     soft_ce_loss_grad,
 )
@@ -81,6 +82,14 @@ class TestSoftCeLoss:
             fd = (soft_ce_loss(p, q + dq, t) - soft_ce_loss(p, q - dq, t)) / (2 * eps)
             assert g[i] == pytest.approx(fd, abs=1e-6)
 
+    def test_batched_rows_match_single_pairs(self):
+        rng = np.random.default_rng(3)
+        p, q = rng.normal(scale=2, size=(2, 5, 3))
+        loss, grad = soft_ce(p, q, 1.5)
+        for i in range(5):
+            assert loss[i] == pytest.approx(soft_ce_loss(p[i], q[i], 1.5), rel=1e-12)
+            assert np.allclose(grad[i], soft_ce_loss_grad(p[i], q[i], 1.5), rtol=1e-12, atol=0)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             soft_ce_loss([0.0, 1.0], [0.0, 1.0, 2.0], 1.0)
@@ -116,6 +125,14 @@ class TestCapture:
             capture_teacher_logits(teacher, seqs, strict=True)
         data = capture_teacher_logits(teacher, seqs, strict=False)
         assert len(data) == 2
+
+    def test_lenient_skips_too_long(self):
+        teacher = nn.init(TINY, 3)
+        seqs = [[1, 2], list(range(1, 10)), [3, 4]]  # the middle one exceeds max_seq_len 8
+        with pytest.raises(nn.InvalidInputError):
+            capture_teacher_logits(teacher, seqs, strict=True)
+        data = capture_teacher_logits(teacher, seqs, strict=False)
+        assert [r.token_ids for r in data.records] == [[1, 2], [3, 4]]
 
     def test_teacher_weights_untouched(self):
         teacher = nn.init(TINY, 4)

@@ -1,7 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distillsearch import distill, estimators, nn
 from distillsearch.archspace import ArchConfig
@@ -119,6 +122,56 @@ class TestForward:
         _, cache = nn.forward_batch(model, np.array([[1, 2, 3, 4]]), want_cache=True)
         probs = cache["layers"][0]["probs"]
         assert np.allclose(probs.sum(-1), 1.0, atol=1e-6)
+
+
+class TestPredictLogits:
+    def test_mixed_lengths_in_input_order(self):
+        # three lengths, ~100 sequences each: more than one batch per length
+        model = nn.init(TINY, 10)
+        rng = np.random.default_rng(10)
+        seqs = [rng.integers(0, 20, size=int(n)).tolist() for n in rng.integers(1, 4, size=300)]
+        logits = nn.predict_logits(model, seqs)
+        assert logits.shape == (300, 2)
+        for ids, row in zip(seqs, logits):
+            np.testing.assert_allclose(row, nn.forward(model, ids), rtol=1e-12, atol=0)
+
+    def test_invalid_sequence_rejected(self):
+        model = nn.init(TINY, 10)
+        with pytest.raises(nn.InvalidInputError):
+            nn.predict_logits(model, [[1, 2], list(range(9))])
+
+
+class TestTrainLoop:
+    def test_each_example_once_per_epoch_in_equal_length_batches(self):
+        model = nn.init(TINY, 11)
+        rng = np.random.default_rng(11)
+        seqs = [[1] * int(n) for n in rng.integers(2, 6, size=20)]
+        seen = []
+
+        def loss_and_grad(batch, logits):
+            assert len(batch) <= 3 and len({len(seqs[i]) for i in batch}) == 1
+            seen.extend(batch)
+            return np.ones(len(batch)), np.zeros_like(logits)
+
+        losses = nn.train_loop(model, rng, seqs, loss_and_grad,
+                               nn.TrainParams(epochs=2, batch_size=3))
+        assert losses == [1.0, 1.0]
+        assert sorted(seen) == sorted(list(range(20)) * 2)
+
+    def test_nonfinite_loss_raises(self):
+        model = nn.init(TINY, 12)
+
+        def loss_and_grad(batch, logits):
+            return np.full(len(batch), np.inf), np.zeros_like(logits)
+
+        with pytest.raises(FloatingPointError):
+            nn.train_loop(model, np.random.default_rng(0), [[1, 2, 3]] * 4, loss_and_grad,
+                          nn.TrainParams(epochs=1))
+
+    @pytest.mark.parametrize("bad", [dict(batch_size=0), dict(epochs=-1)])
+    def test_params_validated(self, bad):
+        with pytest.raises(ValueError):
+            nn.TrainParams(**bad)
 
 
 class TestBackward:
@@ -267,3 +320,73 @@ class TestCheckpoint:
         assert loaded.vocab_map is None
         assert np.allclose(nn.forward(loaded, [1, 2, 3]), nn.forward(model, [1, 2, 3]),
                            atol=1e-5)
+
+    def test_appended_byte_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        nn.save_checkpoint(nn.init(TINY, 10), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError):
+            nn.load_checkpoint(path)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        nn.save_checkpoint(nn.init(TINY, 11), path)
+        raw = path.read_bytes()
+        for size in (100, len(raw) - 1):
+            path.write_bytes(raw[:size])
+            with pytest.raises(ValueError):
+                nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t[0].update(name="token_embedding"),   # renamed tensor
+        lambda t: t[-1].update(shape=[3]),                # shape off its config
+        lambda t: t.pop(),                                # tensor missing
+    ])
+    def test_header_tensors_must_match_config(self, tmp_path, edit):
+        path = tmp_path / "m.ckpt"
+        nn.save_checkpoint(nn.init(TINY, 12), path)
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        doc = json.loads(header)
+        edit(doc["tensors"])
+        path.write_bytes(magic + b"\n" + json.dumps(doc).encode() + b"\n" + payload)
+        with pytest.raises(ValueError):
+            nn.load_checkpoint(path)
+
+
+_FUZZ_CKPT = None
+
+
+def _fuzz_checkpoint() -> bytes:
+    global _FUZZ_CKPT
+    if _FUZZ_CKPT is None:
+        with tempfile.TemporaryDirectory() as d:
+            nn.save_checkpoint(nn.init(TINY, 13), Path(d) / "m.ckpt")
+            _FUZZ_CKPT = (Path(d) / "m.ckpt").read_bytes()
+    return _FUZZ_CKPT
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_corrupted_checkpoint_loads_whole_or_raises_value_error(data):
+    # a cut or an append is always caught; a changed payload byte still loads
+    raw = bytearray(_fuzz_checkpoint())
+    payload_start = raw.index(b"\n", len(b"ENCKPT1\n")) + 1
+    pos = data.draw(st.integers(0, len(raw) - 1))
+    kind = data.draw(st.sampled_from(["flip", "cut", "append"]))
+    if kind == "flip":
+        raw[pos] = data.draw(st.integers(0, 255))
+    elif kind == "cut":
+        raw = raw[:pos]
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=8))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.ckpt"
+        path.write_bytes(bytes(raw))
+        try:
+            model = nn.load_checkpoint(path)
+        except ValueError:
+            assert kind != "flip" or pos < payload_start
+            return
+    assert kind == "flip"
+    for name in nn.weight_names(model.config):
+        assert model.weights[name].shape == nn._weight_shape(name, model.config)
