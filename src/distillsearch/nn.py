@@ -159,7 +159,14 @@ def _layer_norm_bwd(dy, cache):
 
 
 def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    # 0.5 * x * (1 + erf(x / sqrt 2)) in one buffer: the (batch, seq, ffn)
+    # temporaries set the peak memory of batched inference on a wide FFN
+    out = x / np.sqrt(2.0)
+    erf(out, out=out)
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return out
 
 
 def _gelu_grad(x):
