@@ -510,7 +510,7 @@ def load_checkpoint(path) -> EncoderModel:
     if tensors != expected:
         raise ValueError(f"{path}: header tensors do not match its config")
     sizes = [int(np.prod(shape)) for _, shape in expected]
-    if len(raw) - (end + 1) != 4 * sum(sizes):
+    if len(raw) - end - 1 != 4 * sum(sizes):
         raise ValueError(f"{path}: payload is {len(raw) - end - 1} bytes, "
                          f"its tensors need {4 * sum(sizes)}")
     flat = np.frombuffer(raw, dtype="<f4", offset=end + 1).astype(np.float64)

@@ -1,6 +1,4 @@
 import json
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,23 +351,20 @@ class TestCheckpoint:
             nn.load_checkpoint(path)
 
 
-_FUZZ_CKPT = None
-
-
-def _fuzz_checkpoint() -> bytes:
-    global _FUZZ_CKPT
-    if _FUZZ_CKPT is None:
-        with tempfile.TemporaryDirectory() as d:
-            nn.save_checkpoint(nn.init(TINY, 13), Path(d) / "m.ckpt")
-            _FUZZ_CKPT = (Path(d) / "m.ckpt").read_bytes()
-    return _FUZZ_CKPT
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    """A checkpoint's bytes, and a file that each fuzz example overwrites."""
+    path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+    nn.save_checkpoint(nn.init(TINY, 13), path)
+    return path.read_bytes(), path
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_corrupted_checkpoint_loads_whole_or_raises_value_error(data):
+@given(data=st.data())
+def test_corrupted_checkpoint_loads_whole_or_raises_value_error(fuzz_checkpoint, data):
     # a cut or an append is always caught; a changed payload byte still loads
-    raw = bytearray(_fuzz_checkpoint())
+    original, path = fuzz_checkpoint
+    raw = bytearray(original)
     payload_start = raw.index(b"\n", len(b"ENCKPT1\n")) + 1
     pos = data.draw(st.integers(0, len(raw) - 1))
     kind = data.draw(st.sampled_from(["flip", "cut", "append"]))
@@ -379,14 +374,12 @@ def test_corrupted_checkpoint_loads_whole_or_raises_value_error(data):
         raw = raw[:pos]
     else:
         raw += data.draw(st.binary(min_size=1, max_size=8))
-    with tempfile.TemporaryDirectory() as d:
-        path = Path(d) / "m.ckpt"
-        path.write_bytes(bytes(raw))
-        try:
-            model = nn.load_checkpoint(path)
-        except ValueError:
-            assert kind != "flip" or pos < payload_start
-            return
+    path.write_bytes(bytes(raw))
+    try:
+        model = nn.load_checkpoint(path)
+    except ValueError:
+        assert kind != "flip" or pos < payload_start
+        return
     assert kind == "flip"
     for name in nn.weight_names(model.config):
         assert model.weights[name].shape == nn._weight_shape(name, model.config)
