@@ -82,7 +82,7 @@ def _load_config(path_or_none, fallback: ArchConfig | None = None) -> ArchConfig
         return ArchConfig.from_json(Path(path_or_none).read_text())
     except FileNotFoundError:
         raise CliError(f"config file not found: {path_or_none}", EXIT_MISSING_DEP)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         raise CliError(f"bad config file {path_or_none}: {exc}", EXIT_VALIDATION)
 
 
@@ -123,8 +123,6 @@ def cmd_estimate(args) -> dict:
 
 
 def cmd_search(args) -> dict:
-    if args.target_mb <= 0:
-        raise CliError("--target-mb must be positive", EXIT_VALIDATION)
     params = gasearch.GaParams(
         population_size=args.population, crossover_rate=args.crossover_rate,
         max_iter=args.iterations, child_size=args.child_size,

@@ -158,14 +158,20 @@ def _layer_norm_bwd(dy, cache):
     return dx, dg, db
 
 
-def _gelu(x):
-    # 0.5 * x * (1 + erf(x / sqrt 2)) in one buffer: the (batch, seq, ffn)
-    # temporaries set the peak memory of batched inference on a wide FFN
-    out = x / np.sqrt(2.0)
-    erf(out, out=out)
-    out += 1.0
-    out *= x
-    out *= 0.5
+def _gelu(x, out=None):
+    """0.5 * x * (1 + erf(x / sqrt 2)) into ``out`` (which may be ``x``).
+
+    One sequence at a time: (batch, seq, ffn) temporaries would set the peak
+    memory of batched inference on a wide feed-forward block.
+    """
+    out = np.empty_like(x) if out is None else out
+    for xs, os in zip(x, out):
+        t = xs / np.sqrt(2.0)
+        erf(t, out=t)
+        t += 1.0
+        t *= xs
+        t *= 0.5
+        os[...] = t
     return out
 
 
@@ -237,8 +243,9 @@ def forward_batch(model: EncoderModel, ids: np.ndarray,
         ctx = ctx_h.transpose(0, 2, 1, 3).reshape(B, r, cfg.hidden)
         attn_out = matmul(ctx, w[p + "o_w"], counter) + w[p + "o_b"]
         x1, ln1_cache = _layer_norm_fwd(xq + attn_out, w[p + "attn_ln_g"], w[p + "attn_ln_b"])
-        u = matmul(x1, w[p + "ffn_up_w"], counter) + w[p + "ffn_up_b"]
-        a = _gelu(u)
+        u = matmul(x1, w[p + "ffn_up_w"], counter)
+        u += w[p + "ffn_up_b"]
+        a = _gelu(u, out=None if want_cache else u)  # only backward reads u
         f = matmul(a, w[p + "ffn_down_w"], counter) + w[p + "ffn_down_b"]
         x2, ln2_cache = _layer_norm_fwd(x1 + f, w[p + "ffn_ln_g"], w[p + "ffn_ln_b"])
         if want_cache:
