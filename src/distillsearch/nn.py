@@ -107,10 +107,6 @@ class EncoderModel:
     def num_params(self) -> int:
         return sum(w.size for w in self.weights.values())
 
-    def copy(self) -> "EncoderModel":
-        return EncoderModel(self.config, {k: v.copy() for k, v in self.weights.items()},
-                            None if self.vocab_map is None else dict(self.vocab_map))
-
 
 def init(config: ArchConfig, rng: np.random.Generator | int) -> EncoderModel:
     """Seed-deterministic init: N(0, 0.02) matrices, unit LN scales, zero biases."""
@@ -159,19 +155,15 @@ def _layer_norm_bwd(dy, cache):
 
 
 def _gelu(x, out=None):
-    """0.5 * x * (1 + erf(x / sqrt 2)) into ``out`` (which may be ``x``).
-
-    One sequence at a time: (batch, seq, ffn) temporaries would set the peak
-    memory of batched inference on a wide feed-forward block.
-    """
+    # into out, which may be x, one sequence at a time: (batch, seq, ffn)
+    # temporaries would set the peak memory of batched inference
     out = np.empty_like(x) if out is None else out
-    for xs, os in zip(x, out):
+    for xs, o in zip(x, out):
         t = xs / np.sqrt(2.0)
         erf(t, out=t)
         t += 1.0
-        t *= xs
-        t *= 0.5
-        os[...] = t
+        np.multiply(t, xs, out=o)
+        o *= 0.5
     return out
 
 
