@@ -145,10 +145,10 @@ def train_teacher(config: ArchConfig, labeled: list[Example],
     labels = np.array([ex.label for ex in labeled])
 
     def cross_entropy(batch, logits):
-        rows, picked = np.arange(len(batch)), labels[batch]
+        rows, targets = np.arange(len(batch)), labels[batch]
         probs = nn.softmax(logits)
-        per_example = -np.log(np.clip(probs[rows, picked], 1e-300, None))
-        probs[rows, picked] -= 1.0
+        per_example = -np.log(np.clip(probs[rows, targets], 1e-300, None))
+        probs[rows, targets] -= 1.0
         return per_example, probs
 
     epoch_losses = nn.train_loop(model, rng, [ex.ids for ex in labeled], cross_entropy, params)
