@@ -3,9 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from distillsearch import corpus, distill, nn
+from distillsearch import cli, corpus, distill, nn
 from distillsearch.archspace import ArchConfig
-from distillsearch import cli
 from distillsearch.cli import main
 
 TINY_TEACHER = ArchConfig(layers=1, hidden=16, heads=2, ffn=32, vocab=300,
