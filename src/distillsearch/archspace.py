@@ -32,7 +32,7 @@ class ArchConfig:
     def __post_init__(self):
         for name in (*SEARCHED_FIELDS, "max_seq_len", "num_classes"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.hidden % self.heads != 0:
             raise ValueError(
@@ -48,7 +48,9 @@ class ArchConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ArchConfig":
-        known = {f: int(doc[f]) for f in (*SEARCHED_FIELDS, "max_seq_len", "num_classes") if f in doc}
+        if not isinstance(doc, dict):
+            raise ValueError(f"config document must be a JSON object, got {doc!r:.40}")
+        known = {f: doc[f] for f in (*SEARCHED_FIELDS, "max_seq_len", "num_classes") if f in doc}
         missing = [f for f in SEARCHED_FIELDS if f not in known]
         if missing:
             raise ValueError(f"config document missing fields: {missing}")

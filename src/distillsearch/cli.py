@@ -24,38 +24,27 @@ from . import distill as distill_mod
 from . import estimators, gasearch, nn
 from .archspace import ArchConfig, default_table1, pretrained_reference, validate
 
-EXIT_VALIDATION = 2
-EXIT_MISSING_DEP = 3
-EXIT_NUMERICAL = 4
+# the exception's type alone sets the exit code; main is the one place that maps it
+EXIT_CODES = {ValueError: 2, FileNotFoundError: 3, FloatingPointError: 4}
 
 DEFAULT_TEACHER = ArchConfig(layers=4, hidden=128, heads=4, ffn=512, vocab=2000,
                              max_seq_len=32, num_classes=2)
 
 
-class CliError(Exception):
-    def __init__(self, message, exit_code):
-        super().__init__(message)
-        self.exit_code = exit_code
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ValueError(f"--out {out} is not a directory") from exc
     return out
 
 
 def _read_report(out: Path) -> dict:
     path = out / "report.json"
-    if not path.exists():
-        return {}
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:
-        raise CliError(f"{path} is not valid JSON ({exc}); repair or delete it",
-                       EXIT_VALIDATION)
+    doc = nn.read_artifact(path, json.loads) if path.exists() else {}
     if not isinstance(doc, dict):
-        raise CliError(f"{path} does not hold a JSON object; repair or delete it",
-                       EXIT_VALIDATION)
+        raise ValueError(f"{path} does not hold a JSON object; repair or delete it")
     return doc
 
 
@@ -68,22 +57,8 @@ def _write_report(out: Path, doc: dict) -> None:
 
 def _require(path: Path, produced_by: str) -> Path:
     if not path.exists():
-        raise CliError(f"missing artifact {path.name}: run `{produced_by}` first",
-                       EXIT_MISSING_DEP)
+        raise FileNotFoundError(f"missing artifact {path.name}: run `{produced_by}` first")
     return path
-
-
-def _load_config(path_or_none, fallback: ArchConfig | None = None) -> ArchConfig:
-    if path_or_none is None:
-        if fallback is None:
-            raise CliError("no config file given", EXIT_VALIDATION)
-        return fallback
-    try:
-        return ArchConfig.from_json(Path(path_or_none).read_text())
-    except FileNotFoundError:
-        raise CliError(f"config file not found: {path_or_none}", EXIT_MISSING_DEP)
-    except (ValueError, KeyError) as exc:
-        raise CliError(f"bad config file {path_or_none}: {exc}", EXIT_VALIDATION)
 
 
 def _load_or_generate_corpus(out: Path, seed: int) -> corpus_mod.Corpus:
@@ -99,14 +74,12 @@ def _load_or_generate_corpus(out: Path, seed: int) -> corpus_mod.Corpus:
 
 
 def cmd_estimate(args) -> dict:
-    if args.config == "reference":
-        config = pretrained_reference()
-    else:
-        config = _load_config(args.config)
+    config = (pretrained_reference() if args.config == "reference"
+              else nn.read_artifact(args.config, ArchConfig.from_json))
     if args.space == "table1":
         verdict = validate(config, default_table1())
         if not verdict:
-            raise CliError(f"config rejected: {verdict.violation}", EXIT_VALIDATION)
+            raise ValueError(f"config rejected: {verdict.violation}")
     seq_len = min(args.seq_len, config.max_seq_len)
     size = estimators.model_size(config, bytes_per_param=args.bytes_per_param)
     flops = estimators.forward_flops(config, seq_len)
@@ -144,7 +117,7 @@ def cmd_search(args) -> dict:
 
 def cmd_teach(args) -> dict:
     out = _out_dir(args)
-    config = _load_config(args.config, fallback=DEFAULT_TEACHER)
+    config = nn.read_artifact(args.config, ArchConfig.from_json) if args.config else DEFAULT_TEACHER
     data = _load_or_generate_corpus(out, args.seed)
     params = corpus_mod.TeacherTrainParams(
         learning_rate=args.lr, epochs=args.epochs,
@@ -178,8 +151,8 @@ def cmd_distill(args) -> dict:
     out = _out_dir(args)
     dataset = distill_mod.LogitDataset.load(_require(out / "logits.ldst", "capture"))
     teacher = nn.load_checkpoint(_require(out / "teacher.ckpt", "teach"))
-    student_config = _load_config(
-        args.student_config or _require(out / "arch.json", "search"))
+    student_config = nn.read_artifact(
+        args.student_config or _require(out / "arch.json", "search"), ArchConfig.from_json)
     student_config = student_config.with_context(
         max_seq_len=teacher.config.max_seq_len,
         num_classes=teacher.config.num_classes)
@@ -224,8 +197,7 @@ def _bench_model(model, sequences, repeats):
 def cmd_bench(args) -> dict:
     out = _out_dir(args)
     ckpts = args.checkpoints or ["teacher.ckpt", "student.ckpt"]
-    paths = [_require(out / name if not Path(name).is_absolute() else Path(name),
-                      "teach/distill") for name in ckpts]
+    paths = [_require(out / name, "teach/distill") for name in ckpts]  # an absolute name stays
     data = _load_or_generate_corpus(out, args.seed)
     rng = np.random.default_rng(args.seed)
     idx = rng.choice(len(data.test), size=min(args.n, len(data.test)), replace=False)
@@ -340,20 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = _out_dir(args)
     start = time.perf_counter()
     try:
+        out = _out_dir(args)
         previous = _read_report(out)
         body = args.func(args)
-    except CliError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except ValueError as exc:  # bad input or artifact, params validation, malformed JSON
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FloatingPointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
     report = {"command": args.command, "seed": args.seed,
               "wall_time_s": time.perf_counter() - start, **body}
     if args.command != "report":

@@ -15,7 +15,7 @@ runs on :func:`nn.predict_logits`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -176,17 +176,33 @@ def save_corpus(corpus: Corpus, out_dir) -> None:
             fh.write(json.dumps({"ids": ids}) + "\n")
 
 
+def _parse_spec(raw: bytes) -> SyntheticTaskSpec:
+    doc = json.loads(raw)
+    if odd := set(doc) ^ {f.name for f in fields(SyntheticTaskSpec)}:
+        raise ValueError(f"unknown or missing spec keys {sorted(odd)}")
+    return SyntheticTaskSpec(**{**doc, "rule_params": tuple(doc["rule_params"])})
+
+
+def _example(rec: dict) -> Example:
+    if type(rec["label"]) is not int or rec["label"] not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {rec['label']!r:.40}")
+    return Example(nn.token_ids(rec["ids"]), rec["label"])
+
+
 def load_corpus(out_dir) -> Corpus:
+    """Read what :func:`save_corpus` wrote; a ValueError names the file of a
+    malformed spec or record, or of a split whose length is not the spec's."""
     out = Path(out_dir)
-    doc = json.loads((out / "task_spec.json").read_text())
-    doc["rule_params"] = tuple(doc["rule_params"])
-    spec = SyntheticTaskSpec(**doc)
+    spec = nn.read_artifact(out / "task_spec.json", _parse_spec)
 
-    def read_labeled(name):
-        with open(out / f"{name}.jsonl") as fh:
-            return [Example(rec["ids"], rec["label"]) for rec in map(json.loads, fh)]
+    def split(name, count, parse):
+        def parse_all(raw):
+            records = [parse(json.loads(line)) for line in raw.splitlines()]
+            if len(records) != count:
+                raise ValueError(f"{len(records)} records where the spec says {count}")
+            return records
+        return nn.read_artifact(out / f"{name}.jsonl", parse_all)
 
-    with open(out / "unlabeled.jsonl") as fh:
-        unlabeled = [json.loads(line)["ids"] for line in fh]
-    return Corpus(spec, read_labeled("labeled"), unlabeled,
-                  read_labeled("val"), read_labeled("test"))
+    return Corpus(spec, split("labeled", spec.n_labeled, _example),
+                  split("unlabeled", spec.n_unlabeled, lambda rec: nn.token_ids(rec["ids"])),
+                  split("val", spec.n_val, _example), split("test", spec.n_test, _example))

@@ -61,13 +61,15 @@ class LogitDataset:
 
     @classmethod
     def load(cls, path) -> "LogitDataset":
-        with open(path) as fh:
-            header = json.loads(fh.readline())
-            records = [LogitRecord(rec["ids"], np.array(rec["logits"]))
-                       for rec in map(json.loads, fh)]
-        if len(records) != header["count"]:
-            raise ValueError(f"{path}: expected {header['count']} records, got {len(records)}")
-        return cls(records, num_classes=header["num_classes"])
+        """Read a file written by :meth:`save`; raise ValueError naming the
+        file for a malformed header or record, or a wrong record count."""
+        def parse(raw):
+            header, *rows = map(json.loads, raw.splitlines())
+            if len(rows) != header["count"]:
+                raise ValueError(f"expected {header['count']} records, got {len(rows)}")
+            return cls([LogitRecord(nn.token_ids(rec["ids"]), rec["logits"]) for rec in rows],
+                       num_classes=header["num_classes"])
+        return nn.read_artifact(path, parse)
 
 
 @dataclass(frozen=True)

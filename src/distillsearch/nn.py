@@ -182,6 +182,13 @@ def log_softmax(x):
     return z - np.log(np.exp(z).sum(-1, keepdims=True))
 
 
+def token_ids(value) -> list[int]:
+    """``value`` if it is a non-empty list of ints, as stored ids must be; else ValueError."""
+    if not (isinstance(value, list) and value and all(type(i) is int for i in value)):
+        raise ValueError(f"token ids must be a non-empty list of integers, got {value!r:.40}")
+    return value
+
+
 def check_inputs(config: ArchConfig, ids: np.ndarray):
     """Raise :class:`InvalidInputError` unless ``ids`` is a (batch, seq) array
     the model accepts."""
@@ -488,31 +495,38 @@ def save_checkpoint(model: EncoderModel, path) -> None:
             fh.write(model.weights[n].astype("<f4").tobytes(order="C"))
 
 
+def read_artifact(path, parse):
+    """``parse(bytes of path)``, the one way every artifact loads: malformed content
+    raises ValueError naming the file; a missing file stays FileNotFoundError."""
+    try:
+        return parse(Path(path).read_bytes())
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc!r}") from exc
+
+
 def load_checkpoint(path) -> EncoderModel:
     """Read a checkpoint written by :func:`save_checkpoint`; raise ValueError
     unless its header lists exactly the tensors its config implies and the
     payload holds exactly their bytes."""
-    raw = Path(path).read_bytes()
-    end = raw.find(b"\n", len(_MAGIC))
-    if not raw.startswith(_MAGIC) or end < 0:
-        raise ValueError(f"{path}: not a model checkpoint")
-    try:
+    def parse(raw: bytes) -> EncoderModel:
+        end = raw.find(b"\n", len(_MAGIC))
+        if not raw.startswith(_MAGIC) or end < 0:
+            raise ValueError("not a model checkpoint")
         header = json.loads(raw[len(_MAGIC):end])
         config = ArchConfig.from_dict(header["config"])
         tensors = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
         vocab_map = header.get("vocab_map")
         if vocab_map is not None:
             vocab_map = {int(k): int(v) for k, v in vocab_map}
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: bad checkpoint header: {exc!r}") from exc
-    expected = [(name, _weight_shape(name, config)) for name in weight_names(config)]
-    if tensors != expected:
-        raise ValueError(f"{path}: header tensors do not match its config")
-    sizes = [int(np.prod(shape)) for _, shape in expected]
-    if len(raw) - end - 1 != 4 * sum(sizes):
-        raise ValueError(f"{path}: payload is {len(raw) - end - 1} bytes, "
-                         f"its tensors need {4 * sum(sizes)}")
-    flat = np.frombuffer(raw, dtype="<f4", offset=end + 1).astype(np.float64)
-    chunks = np.split(flat, np.cumsum(sizes)[:-1])
-    weights = {name: chunk.reshape(shape) for (name, shape), chunk in zip(expected, chunks)}
-    return EncoderModel(config, weights, vocab_map)
+        expected = [(name, _weight_shape(name, config)) for name in weight_names(config)]
+        if tensors != expected:
+            raise ValueError("header tensors do not match its config")
+        sizes = [int(np.prod(shape)) for _, shape in expected]
+        if len(raw) - end - 1 != 4 * sum(sizes):
+            raise ValueError(f"payload is {len(raw) - end - 1} bytes, "
+                             f"its tensors need {4 * sum(sizes)}")
+        flat = np.frombuffer(raw, dtype="<f4", offset=end + 1).astype(np.float64)
+        chunks = np.split(flat, np.cumsum(sizes)[:-1])
+        weights = {name: chunk.reshape(shape) for (name, shape), chunk in zip(expected, chunks)}
+        return EncoderModel(config, weights, vocab_map)
+    return read_artifact(path, parse)

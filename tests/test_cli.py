@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -203,3 +204,85 @@ class TestReport:
         assert "report.json" in capsys.readouterr().err
         assert not (tmp_path / "ga_result.json").exists()
         assert run(tmp_path, "report") == 2
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A tiny teach -> capture -> distill -> bench run; its student maps the
+    teacher's vocab down, so student.ckpt carries a vocab map."""
+    out = tmp_path_factory.mktemp("finished")
+    spec = corpus.SyntheticTaskSpec(vocab_size=300, n_labeled=60, n_unlabeled=60,
+                                    n_val=20, n_test=20, rng_seed=0)
+    corpus.save_corpus(corpus.generate(spec), out)
+    (out / "teacher_cfg.json").write_text(TINY_TEACHER.to_json())
+    (out / "arch.json").write_text(ArchConfig(layers=1, hidden=8, heads=1, ffn=16, vocab=100,
+                                              max_seq_len=32).to_json())
+    assert run(out, "teach", "--config", str(out / "teacher_cfg.json"), "--epochs", "1") == 0
+    assert run(out, "capture") == 0
+    assert run(out, "distill", "--epochs", "1") == 0
+    assert run(out, "bench", "--n", "5", "--repeats", "1") == 0
+    return out
+
+
+@pytest.fixture
+def damaged(finished_run, tmp_path):
+    """A copy of the finished run for one test to corrupt."""
+    shutil.copytree(finished_run, tmp_path / "run")
+    return tmp_path / "run"
+
+
+def edit_line(path, index, edit):
+    """Apply ``edit`` to the JSON document on line ``index`` of ``path``."""
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[index])
+    edit(doc)
+    lines[index] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def add_spec_key(out):
+    doc = json.loads((out / "task_spec.json").read_text())
+    (out / "task_spec.json").write_text(json.dumps({**doc, "extra": 1}))
+
+
+DISTILL = ["distill", "--epochs", "1"]
+
+
+class TestDamagedArtifacts:
+    """Each damaged artifact ends in its documented exit code and one
+    ``error:`` line naming the file, never a traceback."""
+
+    @pytest.mark.parametrize("damage, argv, code, name", [
+        (lambda out: edit_line(out / "logits.ldst", 0, lambda d: d.pop("count")),
+         DISTILL, 2, "logits.ldst"),
+        (lambda out: edit_line(out / "logits.ldst", 1, lambda d: d.pop("ids")),
+         DISTILL, 2, "logits.ldst"),
+        (lambda out: edit_line(out / "logits.ldst", 1, lambda d: d.update(ids=5)),
+         DISTILL, 2, "logits.ldst"),
+        (add_spec_key, ["capture"], 2, "task_spec.json"),
+        (lambda out: edit_line(out / "test.jsonl", 0, lambda d: d.pop("label")),
+         ["capture"], 2, "test.jsonl"),
+        (lambda out: (out / "arch.json").write_text("5"), DISTILL, 2, "arch.json"),
+        (lambda out: (out / "test.jsonl").unlink(), ["capture"], 3, "test.jsonl"),
+    ], ids=["ldst-header-without-count", "ldst-record-without-ids", "ldst-ids-int",
+            "spec-unknown-key", "test-record-without-label", "arch-holds-5",
+            "test-split-missing"])
+    def test_exit_code_names_the_file(self, damaged, capsys, damage, argv, code, name):
+        damage(damaged)
+        capsys.readouterr()
+        assert run(damaged, *argv) == code
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and name in err
+
+    def test_out_naming_a_file_exit_2(self, damaged, capsys):
+        capsys.readouterr()
+        assert run(damaged / "report.json", "search", "--target-mb", "3",
+                   "--iterations", "1") == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "report.json" in err
+
+    def test_record_without_label_breaks_every_corpus_command(self, damaged):
+        edit_line(damaged / "test.jsonl", 0, lambda d: d.pop("label"))
+        for argv in (["teach", "--config", str(damaged / "teacher_cfg.json")],
+                     ["capture"], DISTILL, ["bench", "--n", "5"]):
+            assert run(damaged, *argv) == 2
