@@ -11,6 +11,7 @@ artifact, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -132,6 +133,7 @@ def cmd_teach(args) -> dict:
             "test_accuracy": test_acc,
             "epoch_losses": result.epoch_losses,
             "lr": args.lr, "epochs": args.epochs, "batch_size": args.batch_size,
+            "corpus_seed": data.spec.rng_seed,
             "artifacts": {"teacher": str(out / "teacher.ckpt")}}
 
 
@@ -144,7 +146,7 @@ def cmd_capture(args) -> dict:
     dataset.save(out / "logits.ldst")
     print(f"captured {len(dataset)} teacher logit records")
     return {"count": len(dataset), "num_classes": dataset.num_classes,
-            "artifacts": {"logits": str(out / "logits.ldst")}}
+            "corpus_seed": data.spec.rng_seed, "artifacts": {"logits": str(out / "logits.ldst")}}
 
 
 def cmd_distill(args) -> dict:
@@ -181,7 +183,7 @@ def cmd_distill(args) -> dict:
             "initial_loss": trace.initial_loss, "final_loss": trace.final_loss,
             "epoch_losses": trace.epoch_losses,
             "test_accuracy": test_acc, "teacher_agreement": teacher_agree,
-            "artifacts": {"student": str(out / "student.ckpt")}}
+            "corpus_seed": data.spec.rng_seed, "artifacts": {"student": str(out / "student.ckpt")}}
 
 
 def _bench_model(model, sequences, repeats):
@@ -202,14 +204,16 @@ def cmd_bench(args) -> dict:
     rng = np.random.default_rng(args.seed)
     idx = rng.choice(len(data.test), size=min(args.n, len(data.test)), replace=False)
     sample = [data.test[i].ids for i in idx]
+    if not sample or args.repeats < 1:
+        raise ValueError("bench needs --n >= 1, --repeats >= 1 and a non-empty test split")
 
     results = {}
     try:
         from threadpoolctl import threadpool_limits
-        limiter = threadpool_limits(limits=args.threads)
-    except ImportError:
-        limiter = None
-    try:
+        limiter, threads = threadpool_limits(limits=args.threads), args.threads
+    except ImportError:  # no limit applied: BLAS runs at the threads the environment sets
+        limiter, threads = contextlib.nullcontext(), None
+    with limiter:
         for path in paths:
             model = nn.load_checkpoint(path)
             seqs = [distill_mod.apply_vocab_map(ids, model.vocab_map)[: model.config.max_seq_len]
@@ -224,12 +228,9 @@ def cmd_bench(args) -> dict:
             }
             print(f"{path.name}: mean {np.mean(means) * 1e3:.3f} ms over "
                   f"{len(seqs)} examples x {args.repeats} repeats")
-    finally:
-        if limiter is not None:
-            limiter.unregister()
 
-    report = {"n": len(sample), "repeats": args.repeats, "threads": args.threads,
-              "models": results}
+    report = {"n": len(sample), "repeats": args.repeats, "threads": threads,
+              "corpus_seed": data.spec.rng_seed, "models": results}
     names = [p.name for p in paths]
     if len(names) == 2:
         a, b = results[names[0]]["grand_mean_s"], results[names[1]]["grand_mean_s"]

@@ -44,6 +44,10 @@ class SyntheticTaskSpec:
         if self.rule != RULE_TRIGGER_BIGRAM:
             raise ValueError(f"unknown rule family {self.rule!r}")
         t1, t2 = self.rule_params
+        sizes = (self.vocab_size, self.min_seq_len, self.max_seq_len, self.n_labeled,
+                 self.n_unlabeled, self.n_val, self.n_test, self.rng_seed, t1, t2)
+        if any(type(value) is not int for value in sizes):
+            raise ValueError("spec sizes, seed and trigger tokens must be integers")
         if not (0 < t1 < self.vocab_size and 0 < t2 < self.vocab_size):
             raise ValueError("trigger tokens must lie inside the vocabulary")
         if self.min_seq_len < 2 or self.max_seq_len < self.min_seq_len:

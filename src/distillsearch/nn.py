@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
 from .archspace import ArchConfig
 
@@ -157,6 +156,7 @@ def _layer_norm_bwd(dy, cache):
 def _gelu(x, out=None):
     # into out, which may be x, one sequence at a time: (batch, seq, ffn)
     # temporaries would set the peak memory of batched inference
+    from scipy.special import erf  # here, not at the top: search and estimate never run a forward
     out = np.empty_like(x) if out is None else out
     for xs, o in zip(x, out):
         t = xs / np.sqrt(2.0)
@@ -168,6 +168,7 @@ def _gelu(x, out=None):
 
 
 def _gelu_grad(x):
+    from scipy.special import erf
     return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
 
 

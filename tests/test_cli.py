@@ -1,8 +1,17 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+import tempfile
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import distillsearch
 
 from distillsearch import cli, corpus, distill, nn
 from distillsearch.archspace import ArchConfig
@@ -286,3 +295,133 @@ class TestDamagedArtifacts:
         for argv in (["teach", "--config", str(damaged / "teacher_cfg.json")],
                      ["capture"], DISTILL, ["bench", "--n", "5"]):
             assert run(damaged, *argv) == 2
+
+
+BENCH = ["bench", "--n", "5", "--repeats", "1"]
+
+
+def report_entry(out, command):
+    return json.loads((out / "report.json").read_text())[command]
+
+
+class TestRunExplainsItself:
+    def test_reports_the_corpus_seed(self, damaged):
+        for command in ("teach", "capture", "distill", "bench"):
+            assert report_entry(damaged, command)["corpus_seed"] == 0
+        # a --seed that differs from the corpus's is recorded, not refused
+        assert run(damaged, "--seed", "5", "capture") == 0
+        entry = report_entry(damaged, "capture")
+        assert (entry["seed"], entry["corpus_seed"]) == (5, 0)
+
+    def test_threads_null_without_threadpoolctl(self, damaged, monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        assert run(damaged, *BENCH, "--threads", "2") == 0
+        assert report_entry(damaged, "bench")["threads"] is None
+
+    def test_threads_record_the_limit_applied(self, damaged, monkeypatch):
+        calls = []
+
+        class Limiter:
+            def __init__(self, limits):
+                calls.append(("limit", limits))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                calls.append(("restore",))
+
+        monkeypatch.setitem(sys.modules, "threadpoolctl",
+                            types.SimpleNamespace(threadpool_limits=Limiter))
+        assert run(damaged, *BENCH, "--threads", "2") == 0
+        assert calls == [("limit", 2), ("restore",)]
+        assert report_entry(damaged, "bench")["threads"] == 2
+
+    @pytest.mark.parametrize("flag", [["--n", "0"], ["--repeats", "0"]])
+    def test_bench_empty_sample_exit_2(self, damaged, flag):
+        assert run(damaged, "bench", *flag) == 2
+
+
+def test_cli_import_leaves_scipy_special_out():
+    src = str(Path(distillsearch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, distillsearch.cli; print('scipy.special' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one corrupted artifact of a finished run never raises out of main
+
+CORPUS_FILES = ("task_spec.json", "labeled.jsonl", "unlabeled.jsonl", "val.jsonl", "test.jsonl")
+OTHER_VALUES = (7, 7.5, "7", None, True, [7], {"k": 7})
+
+
+def readers(out):
+    """argv of every command that reads each artifact of a finished run."""
+    teach = ["teach", "--config", str(out / "teacher_cfg.json"), "--epochs", "1"]
+    corpus_readers = [teach, ["capture"], DISTILL, BENCH]
+    return {"teacher.ckpt": [["capture"], DISTILL, BENCH], "student.ckpt": [BENCH],
+            "logits.ldst": [DISTILL], "arch.json": [DISTILL],
+            "report.json": [*corpus_readers, ["report"]],
+            **{name: corpus_readers for name in CORPUS_FILES}}
+
+
+def _nodes(doc):
+    """Every value of a JSON document, the document first."""
+    yield doc
+    for child in doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else ():
+        yield from _nodes(child)
+
+
+def mutate(doc, how, draw):
+    """``doc`` with one key dropped or added, or one value (or the whole
+    document) replaced by a value of another type."""
+    dicts = [node for node in _nodes(doc) if isinstance(node, dict) and (node or how == "add")]
+    if how == "drop" and dicts:
+        node = draw(st.sampled_from(dicts))
+        del node[draw(st.sampled_from(sorted(node)))]
+        return doc
+    if how == "add" and dicts:
+        draw(st.sampled_from(dicts))["unexpected"] = 1
+        return doc
+    slots = [(node, key) for node in _nodes(doc) if isinstance(node, (dict, list))
+             for key in (list(node) if isinstance(node, dict) else range(len(node)))]
+    pick = draw(st.integers(-1, len(slots) - 1))  # -1: the whole document
+    old = doc if pick < 0 else slots[pick][0][slots[pick][1]]
+    new = draw(st.sampled_from([v for v in OTHER_VALUES if type(v) is not type(old)]))
+    if pick < 0:
+        return new
+    slots[pick][0][slots[pick][1]] = new
+    return doc
+
+
+def corrupt(path, draw):
+    """Truncate ``path``, or mutate one JSON document in it: the whole file for
+    .json, the header of a checkpoint, one line of a JSON-lines file."""
+    raw = path.read_bytes()
+    how = draw(st.sampled_from(["truncate", "drop", "add", "retype"]))
+    if how == "truncate":
+        path.write_bytes(raw[:draw(st.integers(0, len(raw) - 1))])
+        return
+    parts = [raw] if path.suffix == ".json" else raw.split(b"\n")
+    index = {".json": 0, ".ckpt": 1}.get(path.suffix)
+    if index is None:  # a JSON-lines file ends in a newline, so its last part is empty
+        index = draw(st.integers(0, len(parts) - 2))
+    doc = mutate(json.loads(parts[index]), how, draw)
+    parts[index] = json.dumps(doc).encode()
+    path.write_bytes(b"\n".join(parts))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_corrupted_artifact_never_raises(finished_run, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        shutil.copytree(finished_run, out)
+        commands = readers(out)
+        name = data.draw(st.sampled_from(sorted(commands)), label="artifact")
+        corrupt(out / name, data.draw)
+        argv = data.draw(st.sampled_from(commands[name]), label="argv")
+        assert main(["--out", str(out), *argv]) in (0, 2, 3, 4)

@@ -72,6 +72,22 @@ class TestCorpusFiles:
                [(ex.ids, ex.label) for ex in data.test]
         assert loaded.unlabeled == data.unlabeled
 
+    @pytest.mark.parametrize("file, damage", [
+        ("task_spec.json", lambda text: text.replace('"rng_seed": 0', '"rng_seed": "0"')),
+        ("task_spec.json", lambda text: text.replace(',\n  "rng_seed": 0', "")),
+        ("test.jsonl", lambda text: text[:text.index("\n") + 1]),
+        ("val.jsonl", lambda text: text.replace('"label": 1', '"label": 2', 1)),
+        ("unlabeled.jsonl", lambda text: text.replace('{"ids": [', '{"ids": [[0], ', 1)),
+    ], ids=["string-seed", "missing-seed", "short-split", "label-2", "nested-ids"])
+    def test_malformed_file_raises_value_error_naming_it(self, tmp_path, file, damage):
+        save_corpus(generate(SMALL_SPEC), tmp_path)
+        path = tmp_path / file
+        damaged = damage(path.read_text())
+        assert damaged != path.read_text()
+        path.write_text(damaged)
+        with pytest.raises(ValueError, match=file):
+            load_corpus(tmp_path)
+
     def test_unlabeled_file_has_no_labels(self, tmp_path):
         import json
         data = generate(SMALL_SPEC)
