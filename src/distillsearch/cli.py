@@ -4,8 +4,10 @@ Every command writes its RunReport into ``<out>/report.json`` (a JSON
 object keyed by command) alongside stable artifact filenames:
 arch.json, ga_result.json, teacher.ckpt, logits.ldst, student.ckpt.
 
-Exit codes: 0 success, 2 validation error, 3 missing dependency
-artifact, 4 numerical failure.
+Exit codes: 0 success; 2 a malformed artifact or flag (ValueError);
+3 a missing artifact or split file (FileNotFoundError); 4 divergence
+(FloatingPointError). The exception's type alone sets the code, and
+:func:`main` is the one place that maps it.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ layer-norm, then per layer a bidirectional self-attention block and a
 GELU feed-forward block, each followed by residual add + layer-norm;
 classification from the first token through a tanh pooler and a linear
 head. All math is fp64 so finite-difference gradient checks are tight;
-checkpoints store fp32.
+checkpoints store fp32. Every artifact, checkpoint or not, loads through
+:func:`read_artifact`, which names the file of any malformed content.
 """
 
 from __future__ import annotations
