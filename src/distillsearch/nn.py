@@ -498,11 +498,12 @@ def save_checkpoint(model: EncoderModel, path) -> None:
 
 
 def read_artifact(path, parse):
-    """``parse(bytes of path)``, the one way every artifact loads: malformed content
-    raises ValueError naming the file; a missing file stays FileNotFoundError."""
+    """``parse(bytes of path)``, the one way every artifact loads: malformed content,
+    or a directory in the file's place, raises ValueError naming the path; a
+    missing file stays FileNotFoundError."""
     try:
         return parse(Path(path).read_bytes())
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, IsADirectoryError) as exc:
         raise ValueError(f"{path}: {exc!r}") from exc
 
 

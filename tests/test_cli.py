@@ -290,6 +290,12 @@ class TestDamagedArtifacts:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "report.json" in err
 
+    def test_directory_in_place_of_a_file_exit_2(self, damaged):
+        (damaged / "teacher.ckpt").unlink()
+        (damaged / "teacher.ckpt").mkdir()
+        assert run(damaged, "capture") == 2
+        assert run(damaged, "estimate", str(damaged / "teacher.ckpt")) == 2
+
     def test_record_without_label_breaks_every_corpus_command(self, damaged):
         edit_line(damaged / "test.jsonl", 0, lambda d: d.pop("label"))
         for argv in (["teach", "--config", str(damaged / "teacher_cfg.json")],
