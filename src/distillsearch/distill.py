@@ -67,9 +67,15 @@ class LogitDataset:
             header, *rows = map(json.loads, raw.splitlines())
             if len(rows) != header["count"]:
                 raise ValueError(f"expected {header['count']} records, got {len(rows)}")
-            return cls([LogitRecord(nn.token_ids(rec["ids"]), rec["logits"]) for rec in rows],
-                       num_classes=header["num_classes"])
+            return cls([LogitRecord(nn.token_ids(rec["ids"]), _numbers(rec["logits"]))
+                        for rec in rows], num_classes=header["num_classes"])
         return nn.read_artifact(path, parse)
+
+
+def _numbers(value) -> list:
+    if not (isinstance(value, list) and all(type(x) in (int, float) for x in value)):
+        raise ValueError(f"logits must be a list of numbers, got {value!r:.40}")
+    return value
 
 
 @dataclass(frozen=True)

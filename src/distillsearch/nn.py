@@ -520,7 +520,9 @@ def load_checkpoint(path) -> EncoderModel:
         tensors = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
         vocab_map = header.get("vocab_map")
         if vocab_map is not None:
-            vocab_map = {int(k): int(v) for k, v in vocab_map}
+            vocab_map = dict(vocab_map)
+            if not all(type(i) is int for i in (*vocab_map, *vocab_map.values())):
+                raise ValueError("vocab map entries must be pairs of integers")
         expected = [(name, _weight_shape(name, config)) for name in weight_names(config)]
         if tensors != expected:
             raise ValueError("header tensors do not match its config")

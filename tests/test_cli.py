@@ -254,7 +254,15 @@ def add_spec_key(out):
     (out / "task_spec.json").write_text(json.dumps({**doc, "extra": 1}))
 
 
+def retype_vocab_map_entry(out):
+    magic, header, payload = (out / "student.ckpt").read_bytes().split(b"\n", 2)
+    doc = json.loads(header)
+    doc["vocab_map"][0][1] = str(doc["vocab_map"][0][1])
+    (out / "student.ckpt").write_bytes(magic + b"\n" + json.dumps(doc).encode() + b"\n" + payload)
+
+
 DISTILL = ["distill", "--epochs", "1"]
+BENCH = ["bench", "--n", "5", "--repeats", "1"]
 
 
 class TestDamagedArtifacts:
@@ -268,12 +276,16 @@ class TestDamagedArtifacts:
          DISTILL, 2, "logits.ldst"),
         (lambda out: edit_line(out / "logits.ldst", 1, lambda d: d.update(ids=5)),
          DISTILL, 2, "logits.ldst"),
+        (lambda out: edit_line(out / "logits.ldst", 1, lambda d: d["logits"].__setitem__(0, "7")),
+         DISTILL, 2, "logits.ldst"),
+        (retype_vocab_map_entry, BENCH, 2, "student.ckpt"),
         (add_spec_key, ["capture"], 2, "task_spec.json"),
         (lambda out: edit_line(out / "test.jsonl", 0, lambda d: d.pop("label")),
          ["capture"], 2, "test.jsonl"),
         (lambda out: (out / "arch.json").write_text("5"), DISTILL, 2, "arch.json"),
         (lambda out: (out / "test.jsonl").unlink(), ["capture"], 3, "test.jsonl"),
     ], ids=["ldst-header-without-count", "ldst-record-without-ids", "ldst-ids-int",
+            "ldst-logit-string", "vocab-map-entry-string",
             "spec-unknown-key", "test-record-without-label", "arch-holds-5",
             "test-split-missing"])
     def test_exit_code_names_the_file(self, damaged, capsys, damage, argv, code, name):
@@ -302,8 +314,6 @@ class TestDamagedArtifacts:
                      ["capture"], DISTILL, ["bench", "--n", "5"]):
             assert run(damaged, *argv) == 2
 
-
-BENCH = ["bench", "--n", "5", "--repeats", "1"]
 
 
 def report_entry(out, command):
