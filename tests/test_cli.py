@@ -241,24 +241,18 @@ def damaged(finished_run, tmp_path):
 
 
 def edit_line(path, index, edit):
-    """Apply ``edit`` to the JSON document on line ``index`` of ``path``."""
-    lines = path.read_text().splitlines()
+    """Apply ``edit`` to the JSON document on line ``index`` of ``path``;
+    line 1 of a checkpoint is its header."""
+    lines = path.read_bytes().split(b"\n")
     doc = json.loads(lines[index])
     edit(doc)
-    lines[index] = json.dumps(doc)
-    path.write_text("\n".join(lines) + "\n")
+    lines[index] = json.dumps(doc).encode()
+    path.write_bytes(b"\n".join(lines))
 
 
 def add_spec_key(out):
     doc = json.loads((out / "task_spec.json").read_text())
     (out / "task_spec.json").write_text(json.dumps({**doc, "extra": 1}))
-
-
-def retype_vocab_map_entry(out):
-    magic, header, payload = (out / "student.ckpt").read_bytes().split(b"\n", 2)
-    doc = json.loads(header)
-    doc["vocab_map"][0][1] = str(doc["vocab_map"][0][1])
-    (out / "student.ckpt").write_bytes(magic + b"\n" + json.dumps(doc).encode() + b"\n" + payload)
 
 
 DISTILL = ["distill", "--epochs", "1"]
@@ -278,7 +272,9 @@ class TestDamagedArtifacts:
          DISTILL, 2, "logits.ldst"),
         (lambda out: edit_line(out / "logits.ldst", 1, lambda d: d["logits"].__setitem__(0, "7")),
          DISTILL, 2, "logits.ldst"),
-        (retype_vocab_map_entry, BENCH, 2, "student.ckpt"),
+        (lambda out: edit_line(out / "student.ckpt", 1,
+                               lambda d: d["vocab_map"][0].__setitem__(1, "7")),
+         BENCH, 2, "student.ckpt"),
         (add_spec_key, ["capture"], 2, "task_spec.json"),
         (lambda out: edit_line(out / "test.jsonl", 0, lambda d: d.pop("label")),
          ["capture"], 2, "test.jsonl"),
