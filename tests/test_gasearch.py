@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distillsearch import estimators
 from distillsearch.archspace import GridRange, SearchSpace, default_table1, validate
@@ -230,3 +231,111 @@ class TestSearch:
         assert len(res.population) == 4
         assert {c.ffn for c in res.population} == {32, 64}
         assert res.population[0] == res.best
+
+
+def _history(runs):
+    """Expand (value, repeats) pairs into a per-iteration history."""
+    return [value for value, repeats in runs for _ in range(repeats)]
+
+
+class TestFrozenTrajectory:
+    """The full GA trajectory at two budgets, frozen: any change to the loop,
+    the memo or the ranking that moves a single pick shows here."""
+
+    CASES = {
+        "3MB": (
+            GaParams(rng_seed=0, target_size_mb=3.0),
+            (10, 112, 1, 32, 1000),
+            1.0987419036757813,
+            [(0.37538657426953126, 1), (0.6247845475820313, 1), (0.7253348570820313, 1),
+             (1.0350989651992188, 14), (1.0420889980117187, 5), (1.0572714013320312, 9),
+             (1.0987419036757813, 69)],
+            [(10, 112, 1, 32, 1000), (10, 112, 2, 32, 1000), (10, 112, 4, 32, 1000),
+             (10, 112, 8, 32, 1000), (9, 112, 1, 64, 1000), (9, 112, 2, 64, 1000),
+             (9, 112, 4, 64, 1000), (9, 112, 8, 64, 1000), (12, 112, 1, 32, 1000),
+             (12, 112, 2, 32, 1000), (12, 112, 4, 32, 1000), (12, 112, 8, 32, 1000),
+             (10, 112, 1, 64, 1000), (10, 112, 2, 64, 1000), (10, 112, 4, 64, 1000),
+             (10, 112, 8, 64, 1000), (9, 112, 1, 96, 1000), (9, 112, 2, 96, 1000),
+             (9, 112, 4, 96, 1000), (9, 112, 8, 96, 1000), (7, 112, 8, 160, 1000),
+             (8, 112, 1, 96, 1000), (8, 112, 2, 96, 1000), (8, 112, 4, 96, 1000),
+             (8, 112, 8, 96, 1000), (8, 112, 8, 128, 1000), (9, 112, 1, 32, 2000),
+             (9, 112, 2, 32, 2000), (9, 112, 4, 32, 2000), (9, 112, 8, 32, 2000),
+             (12, 48, 1, 512, 1000), (12, 48, 2, 512, 1000), (12, 48, 8, 512, 1000),
+             (12, 64, 4, 288, 2000), (10, 64, 4, 352, 2000), (10, 64, 8, 352, 2000),
+             (10, 64, 4, 416, 1000), (10, 64, 8, 416, 1000), (8, 112, 1, 64, 2000),
+             (8, 112, 2, 64, 2000), (8, 112, 4, 64, 2000), (8, 112, 8, 64, 2000),
+             (12, 48, 1, 480, 2000), (12, 48, 4, 480, 2000), (12, 48, 8, 480, 2000),
+             (9, 64, 1, 448, 1000), (8, 112, 1, 32, 2000), (8, 112, 2, 32, 2000),
+             (8, 112, 4, 32, 2000), (8, 112, 8, 32, 2000)],
+        ),
+        "pipeline": (
+            GaParams(rng_seed=0, target_size_mb=0.408, fitness_seq_len=24, max_seq_len=32),
+            (1, 16, 1, 2688, 1000),
+            0.003327481582031276,
+            [(-0.1889192464570313, 3), (-0.048965085644531274, 1),
+             (-0.0006717593320312762, 5), (-0.00022356145703127626, 7),
+             (0.0024512974179687237, 15), (0.003327481582031276, 69)],
+            [(1, 16, 1, 2688, 1000), (1, 16, 2, 2688, 1000), (1, 16, 4, 2688, 1000),
+             (1, 16, 8, 2688, 1000), (1, 16, 1, 2208, 2000), (1, 16, 2, 2208, 2000),
+             (1, 16, 4, 2208, 2000), (1, 16, 8, 2208, 2000), (1, 32, 8, 1056, 1000),
+             (1, 16, 1, 1728, 3000), (1, 16, 2, 1728, 3000), (1, 16, 4, 1728, 3000),
+             (1, 16, 8, 1728, 3000), (1, 16, 1, 2720, 1000), (1, 16, 2, 2720, 1000),
+             (1, 16, 4, 2720, 1000), (1, 16, 8, 2720, 1000), (1, 16, 1, 1248, 4000),
+             (1, 16, 2, 1248, 4000), (1, 16, 4, 1248, 4000), (1, 16, 8, 1248, 4000),
+             (3, 16, 1, 864, 1000), (3, 16, 1, 704, 2000), (3, 16, 4, 544, 3000),
+             (3, 16, 1, 384, 4000), (3, 16, 2, 384, 4000), (1, 16, 1, 2240, 2000),
+             (1, 16, 2, 2240, 2000), (1, 16, 4, 2240, 2000), (1, 16, 8, 2240, 2000),
+             (1, 16, 1, 768, 5000), (1, 16, 2, 768, 5000), (1, 16, 4, 768, 5000),
+             (1, 16, 8, 768, 5000), (3, 16, 2, 224, 5000), (3, 16, 2, 64, 6000),
+             (2, 16, 2, 832, 3000), (5, 32, 1, 160, 1000), (1, 16, 1, 2656, 1000),
+             (1, 16, 2, 2656, 1000), (1, 16, 4, 2656, 1000), (1, 16, 8, 2656, 1000),
+             (1, 16, 1, 2176, 2000), (1, 16, 2, 2176, 2000), (1, 16, 4, 2176, 2000),
+             (1, 16, 8, 2176, 2000), (1, 16, 1, 1696, 3000), (1, 16, 2, 1696, 3000),
+             (1, 16, 4, 1696, 3000), (1, 16, 8, 1696, 3000)],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_trajectory_is_frozen(self, case):
+        params, best, best_fitness, history, population = self.CASES[case]
+        res = search(SPACE, params)
+        assert res.best.genes() == best
+        assert res.best_fitness == best_fitness
+        assert res.history == _history(history)
+        assert res.n_evaluations == 5050
+        assert [c.genes() for c in res.population] == population
+
+
+GRID_CHROMOSOMES = st.builds(
+    Chromosome, *(st.sampled_from(SPACE.grid_values(f)) for f in
+                  ("layers", "hidden", "heads", "ffn", "vocab")))
+BUDGETS = [GaParams(target_size_mb=3.0),
+           GaParams(target_size_mb=0.408, fitness_seq_len=24, max_seq_len=32)]
+
+
+class TestFitnessStructure:
+    """What lets ``search`` score each (layers, hidden, ffn) once: ``heads``
+    enters neither estimator, and ``vocab`` moves the size along a line."""
+
+    @staticmethod
+    def size(c, params):
+        return estimators.model_size(c.to_config(params.max_seq_len, params.num_classes))
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=GRID_CHROMOSOMES, heads=st.sampled_from(SPACE.heads),
+           params=st.sampled_from(BUDGETS))
+    def test_heads_changes_neither_fitness_nor_size(self, c, heads, params):
+        other = Chromosome(c.layers, c.hidden, heads, c.ffn, c.vocab)
+        assert fitness(other, params) == fitness(c, params)
+        assert self.size(other, params) == self.size(c, params)
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=GRID_CHROMOSOMES, params=st.sampled_from(BUDGETS))
+    def test_one_vocab_step_moves_size_by_a_constant(self, c, params):
+        grid = SPACE.vocab
+        at = [self.size(Chromosome(c.layers, c.hidden, c.heads, c.ffn, v), params).megabytes
+              for v in (grid.lower, grid.lower + grid.step)]
+        vocab = min(c.vocab, grid.upper - grid.step)
+        here, above = (self.size(Chromosome(c.layers, c.hidden, c.heads, c.ffn, v),
+                                 params).megabytes for v in (vocab, vocab + grid.step))
+        assert above - here == at[1] - at[0]
