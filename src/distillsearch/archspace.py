@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 SEARCHED_FIELDS = ("layers", "hidden", "heads", "ffn", "vocab")
 
@@ -91,8 +91,8 @@ class GridRange:
     def contains(self, v: int) -> bool:
         return self.lower <= v <= self.upper and (v - self.lower) % self.step == 0
 
-    def values(self) -> list[int]:
-        return list(range(self.lower, self.upper + 1, self.step))
+    def values(self) -> range:
+        return range(self.lower, self.upper + 1, self.step)
 
     def size(self) -> int:
         return (self.upper - self.lower) // self.step + 1
@@ -108,9 +108,9 @@ class SearchSpace:
     ffn: GridRange
     vocab: GridRange
 
-    def grid_values(self, field: str) -> list[int]:
+    def grid_values(self, field: str) -> Sequence[int]:
         if field == "heads":
-            return list(self.heads)
+            return self.heads
         return getattr(self, field).values()
 
     def cardinality(self) -> int:

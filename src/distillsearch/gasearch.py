@@ -25,14 +25,19 @@ structure of the fitness instead:
   fewer distinct chromosomes than slots, so it cannot collapse onto
   copies of one individual.
 
-Scores are memoized per chromosome; ``n_evaluations`` still counts one
-evaluation per initial chromosome and per child.
+Scores are memoized per (layers, hidden, ffn): ``heads`` enters neither
+estimator and the repair sets ``vocab``, so every chromosome that shares
+those three genes has the same repaired vocab, fitness and size gap, and
+one scoring serves them all. Ranking still breaks ties on the full genes,
+``heads`` included, so the loop's picks are those of scoring each
+chromosome on its own. ``n_evaluations`` still counts one evaluation per
+initial chromosome and per child.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +56,7 @@ class Chromosome:
     vocab: int
 
     def genes(self) -> tuple[int, ...]:
-        return tuple(getattr(self, f) for f in GENE_ORDER)
+        return self.layers, self.hidden, self.heads, self.ffn, self.vocab
 
     def to_config(self, max_seq_len: int = 512, num_classes: int = 2) -> ArchConfig:
         return ArchConfig(layers=self.layers, hidden=self.hidden, heads=self.heads,
@@ -60,7 +65,7 @@ class Chromosome:
 
     @classmethod
     def from_genes(cls, genes) -> "Chromosome":
-        return cls(**dict(zip(GENE_ORDER, (int(g) for g in genes))))
+        return cls(*map(int, genes))  # the fields are declared in GENE_ORDER
 
 
 @dataclass(frozen=True)
@@ -175,15 +180,16 @@ def repair_vocab(c: Chromosome, space: SearchSpace, params: GaParams) -> Chromos
     form, clipped to the grid. Ties go to the smaller vocab.
     """
     grid = space.vocab
-    base = replace(c.to_config(params.max_seq_len, params.num_classes), vocab=grid.lower)
-    lo = estimators.model_size(base).megabytes
-    slope = estimators.model_size(replace(base, vocab=grid.lower + grid.step)).megabytes - lo
+    lo, above = (estimators.model_size(ArchConfig(
+        c.layers, c.hidden, c.heads, c.ffn, vocab, params.max_seq_len, params.num_classes)
+    ).megabytes for vocab in (grid.lower, grid.lower + grid.step))
+    slope = above - lo
     k = min(max(round((params.target_size_mb - lo) / slope), 0), grid.size() - 1)
     # sizes are exact multiples of 2**-18 MB, so lo + j * slope is the exact
     # size at index j; comparing the neighbours settles a rounded half step
     j = min(range(max(k - 1, 0), min(k + 2, grid.size())),
             key=lambda j: abs(lo + j * slope - params.target_size_mb))
-    return replace(c, vocab=grid.lower + j * grid.step)
+    return Chromosome(c.layers, c.hidden, c.heads, c.ffn, grid.lower + j * grid.step)
 
 
 def _survivors(merged: list[tuple[Chromosome, float]], params: GaParams,
@@ -204,19 +210,26 @@ def search(space: SearchSpace, params: GaParams) -> GaResult:
     """Run the full evolutionary loop; deterministic given the seed."""
     rng = np.random.default_rng(params.rng_seed)
     start = time.perf_counter()
-    memo: dict[tuple[int, ...], tuple[tuple[Chromosome, float], tuple]] = {}
+    # (layers, hidden, ffn) -> (repaired vocab, fitness, size gap); heads
+    # enters neither estimator, so one scoring serves every heads value
+    memo: dict[tuple[int, int, int], tuple[int, float, float]] = {}
 
     def evaluate(c: Chromosome) -> tuple[Chromosome, float]:
-        genes = (c.layers, c.hidden, c.heads, c.ffn)  # the repair sets vocab
-        if genes not in memo:
+        if c.hidden % c.heads:
+            c.to_config(params.max_seq_len, params.num_classes)  # raises, as scoring it would
+        key = c.layers, c.hidden, c.ffn
+        if key not in memo:
             repaired = repair_vocab(c, space, params)
             item = (repaired, fitness(repaired, params))
-            memo[genes] = item, _sort_key(item, params)
-        return memo[genes][0]
+            memo[key] = repaired.vocab, item[1], _sort_key(item, params)[1]
+        vocab, fit, _ = memo[key]
+        if c.vocab != vocab:
+            c = Chromosome(c.layers, c.hidden, c.heads, c.ffn, vocab)
+        return c, fit
 
-    def rank(item):
-        c = item[0]
-        return memo[c.layers, c.hidden, c.heads, c.ffn][1]
+    def rank(item):  # the _sort_key order, with the memoized size gap
+        c, fit = item
+        return -fit, memo[c.layers, c.hidden, c.ffn][2], c.genes()
 
     population = random_initialization(space, params, rng)
     scored = _survivors([evaluate(c) for c in population], params, rank)

@@ -232,6 +232,16 @@ class TestSearch:
         assert {c.ffn for c in res.population} == {32, 64}
         assert res.population[0] == res.best
 
+    def test_head_split_checked_for_every_chromosome(self):
+        # hidden 12 does not split over 8 heads; sharing a score across
+        # heads must not let such a chromosome through
+        space = SearchSpace(layers=GridRange(1, 2, 1), hidden=GridRange(12, 24, 12),
+                            heads=(1, 8), ffn=GridRange(32, 64, 32),
+                            vocab=GridRange(1000, 5000, 1000))
+        params = GaParams(population_size=4, max_iter=3, child_size=4, rng_seed=0)
+        with pytest.raises(ValueError, match="divisible by heads"):
+            search(space, params)
+
 
 def _history(runs):
     """Expand (value, repeats) pairs into a per-iteration history."""
