@@ -168,9 +168,21 @@ def _gelu(x, out=None):
     return out
 
 
-def _gelu_grad(x):
+def _normal_cdf(x):
+    """Phi(x) = (1 + erf(x / sqrt 2)) / 2, so that x * Phi(x) is GELU(x) bit for
+    bit (the factor 1/2 is exact): a training pass caches it, and backward
+    gets both GELU and its gradient without a second erf."""
     from scipy.special import erf
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    phi = x / np.sqrt(2.0)
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    return phi
+
+
+def _gelu_grad(x, phi):
+    """d GELU / dx from x and its cached ``phi`` = :func:`_normal_cdf` (x)."""
+    return phi + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
 
 
 def softmax(x):
@@ -246,13 +258,16 @@ def forward_batch(model: EncoderModel, ids: np.ndarray,
         x1, ln1_cache = _layer_norm_fwd(xq + attn_out, w[p + "attn_ln_g"], w[p + "attn_ln_b"])
         u = matmul(x1, w[p + "ffn_up_w"], counter)
         u += w[p + "ffn_up_b"]
-        a = _gelu(u, out=None if want_cache else u)  # only backward reads u
-        f = matmul(a, w[p + "ffn_down_w"], counter) + w[p + "ffn_down_b"]
+        if want_cache:  # backward reads u and Phi(u); GELU(u) lives only for the product
+            phi = _normal_cdf(u)
+            f = matmul(u * phi, w[p + "ffn_down_w"], counter) + w[p + "ffn_down_b"]
+        else:
+            f = matmul(_gelu(u, out=u), w[p + "ffn_down_w"], counter) + w[p + "ffn_down_b"]
         x2, ln2_cache = _layer_norm_fwd(x1 + f, w[p + "ffn_ln_g"], w[p + "ffn_ln_b"])
         if want_cache:
             layer_caches.append(
                 dict(x=x, xq=xq, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx,
-                     ln1=ln1_cache, x1=x1, u=u, a=a, ln2=ln2_cache)
+                     ln1=ln1_cache, x1=x1, u=u, phi=phi, ln2=ln2_cache)
             )
         x = x2
 
@@ -328,10 +343,11 @@ def backward(model: EncoderModel, cache: dict, dlogits: np.ndarray) -> dict[str,
         grads[p + "ffn_ln_g"] += dg
         grads[p + "ffn_ln_b"] += db
         df = dres2
-        grads[p + "ffn_down_w"] += lc["a"].reshape(-1, cfg.ffn).T @ df.reshape(-1, cfg.hidden)
+        u, phi = lc["u"], lc["phi"]
+        grads[p + "ffn_down_w"] += (u * phi).reshape(-1, cfg.ffn).T @ df.reshape(-1, cfg.hidden)
         grads[p + "ffn_down_b"] += df.sum((0, 1))
         da = df @ w[p + "ffn_down_w"].T
-        du = da * _gelu_grad(lc["u"])
+        du = da * _gelu_grad(u, phi)
         grads[p + "ffn_up_w"] += lc["x1"].reshape(-1, cfg.hidden).T @ du.reshape(-1, cfg.ffn)
         grads[p + "ffn_up_b"] += du.sum((0, 1))
         dx1 = dres2 + du @ w[p + "ffn_up_w"].T

@@ -226,6 +226,14 @@ class TestBackward:
         for name in g1:
             assert np.allclose(2.0 * g1[name], g2[name], rtol=1e-12, atol=1e-12)
 
+    def test_cached_normal_cdf_gives_gelu_bit_for_bit(self):
+        # a training pass caches Phi(u) and backward rebuilds GELU(u) = u * Phi(u)
+        x = np.random.default_rng(2).normal(scale=4.0, size=(3, 5, 64))
+        x[0, 0, :6] = [-40.0, -9.0, -0.0, 0.0, 1e-300, 40.0]
+        phi = nn._normal_cdf(x)
+        assert np.array_equal(x * phi, nn._gelu(x))
+        assert np.all((0.0 <= phi) & (phi <= 1.0))
+
 
 class TestAdam:
     def test_zero_grad_no_move(self):
