@@ -5,9 +5,9 @@ object keyed by command) alongside stable artifact filenames:
 arch.json, ga_result.json, teacher.ckpt, logits.ldst, student.ckpt.
 
 Exit codes: 0 success; 2 a malformed artifact or flag (ValueError);
-3 a missing artifact or split file (FileNotFoundError); 4 divergence
-(FloatingPointError). The exception's type alone sets the code, and
-:func:`main` is the one place that maps it.
+3 a missing or unreadable artifact or split file (FileNotFoundError,
+PermissionError); 4 divergence (FloatingPointError). The exception's
+type alone sets the code, and :func:`main` is the one place that maps it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from . import estimators, gasearch, nn
 from .archspace import ArchConfig, default_table1, pretrained_reference, validate
 
 # the exception's type alone sets the exit code; main is the one place that maps it
-EXIT_CODES = {ValueError: 2, FileNotFoundError: 3, FloatingPointError: 4}
+EXIT_CODES = {ValueError: 2, FileNotFoundError: 3, PermissionError: 3, FloatingPointError: 4}
 
 DEFAULT_TEACHER = ArchConfig(layers=4, hidden=128, heads=4, ffn=512, vocab=2000,
                              max_seq_len=32, num_classes=2)

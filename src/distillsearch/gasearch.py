@@ -207,7 +207,20 @@ def _survivors(merged: list[tuple[Chromosome, float]], params: GaParams,
 
 
 def search(space: SearchSpace, params: GaParams) -> GaResult:
-    """Run the full evolutionary loop; deterministic given the seed."""
+    """Run the full evolutionary loop; deterministic given the seed.
+
+    Raises ValueError when even the smallest architecture in ``space`` is
+    larger than the target: every size grows with every gene, so no pick
+    could fit.
+    """
+    smallest = Chromosome(space.layers.lower, space.hidden.lower, min(space.heads),
+                          space.ffn.lower, space.vocab.lower)
+    floor_mb = estimators.model_size(
+        smallest.to_config(params.max_seq_len, params.num_classes)).megabytes
+    if floor_mb > params.target_size_mb:
+        raise ValueError(f"no architecture fits {params.target_size_mb:g} MB: the smallest, "
+                         f"{smallest.genes()} at max_seq_len {params.max_seq_len}, "
+                         f"takes {floor_mb:.3f} MB")
     rng = np.random.default_rng(params.rng_seed)
     start = time.perf_counter()
     # (layers, hidden, ffn) -> (repaired vocab, fitness, size gap); heads

@@ -60,6 +60,18 @@ class TestEstimate:
     def test_missing_config_exit_3(self, tmp_path):
         assert run(tmp_path, "estimate", str(tmp_path / "nope.json")) == 3
 
+    def test_unreadable_config_exit_3(self, tmp_path, monkeypatch, capsys):
+        # file modes do not bind every user, so the refusal is simulated
+        path = tmp_path / "cfg.json"
+        path.write_text(ArchConfig(layers=1, hidden=16, heads=1, ffn=32, vocab=1000).to_json())
+
+        def refuse(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        assert run(tmp_path, "estimate", str(path)) == 3
+        assert "Permission denied" in capsys.readouterr().err
+
 
 class TestSearch:
     def test_writes_artifacts_and_hits_band(self, tmp_path):
@@ -73,6 +85,13 @@ class TestSearch:
 
     def test_nonpositive_target_exit_2(self, tmp_path):
         assert run(tmp_path, "search", "--target-mb", "0") == 2
+
+    def test_budget_no_architecture_meets_exit_2(self, tmp_path, capsys):
+        assert run(tmp_path, "search", "--target-mb", "1e-9", "--iterations", "2",
+                   "--population", "5", "--child-size", "5") == 2
+        assert "the smallest" in capsys.readouterr().err
+        assert not (tmp_path / "arch.json").exists()
+        assert not (tmp_path / "ga_result.json").exists()
 
 
 class TestPipelineCommands:

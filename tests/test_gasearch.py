@@ -242,6 +242,16 @@ class TestSearch:
         with pytest.raises(ValueError, match="divisible by heads"):
             search(space, params)
 
+    def test_budget_below_the_smallest_architecture_rejected(self):
+        smallest = Chromosome(1, 16, 1, 32, 1000).to_config(max_seq_len=32)
+        floor_mb = estimators.model_size(smallest).megabytes
+        small = dict(population_size=4, max_iter=2, child_size=4, max_seq_len=32,
+                     fitness_seq_len=24)
+        with pytest.raises(ValueError, match=r"takes 0\.073 MB"):
+            search(SPACE, GaParams(target_size_mb=floor_mb * (1 - 1e-9), **small))
+        res = search(SPACE, GaParams(target_size_mb=floor_mb, **small))  # the floor fits
+        assert validate(res.best.to_config(max_seq_len=32), SPACE).ok
+
 
 def _history(runs):
     """Expand (value, repeats) pairs into a per-iteration history."""
