@@ -157,22 +157,17 @@ def _layer_norm_bwd(dy, cache):
 def _gelu(x, out=None):
     # into out, which may be x, one sequence at a time: (batch, seq, ffn)
     # temporaries would set the peak memory of batched inference
-    from scipy.special import erf  # here, not at the top: search and estimate never run a forward
     out = np.empty_like(x) if out is None else out
     for xs, o in zip(x, out):
-        t = xs / np.sqrt(2.0)
-        erf(t, out=t)
-        t += 1.0
-        np.multiply(t, xs, out=o)
-        o *= 0.5
+        np.multiply(xs, _normal_cdf(xs), out=o)
     return out
 
 
 def _normal_cdf(x):
-    """Phi(x) = (1 + erf(x / sqrt 2)) / 2, so that x * Phi(x) is GELU(x) bit for
-    bit (the factor 1/2 is exact): a training pass caches it, and backward
-    gets both GELU and its gradient without a second erf."""
-    from scipy.special import erf
+    """Phi(x) = (1 + erf(x / sqrt 2)) / 2, so GELU(x) = x * Phi(x). A training
+    pass caches Phi, and backward gets GELU and its gradient without a
+    second erf."""
+    from scipy.special import erf  # here, not at the top: search and estimate never run a forward
     phi = x / np.sqrt(2.0)
     erf(phi, out=phi)
     phi += 1.0
