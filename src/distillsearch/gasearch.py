@@ -25,19 +25,19 @@ structure of the fitness instead:
   fewer distinct chromosomes than slots, so it cannot collapse onto
   copies of one individual.
 
-Scores are memoized per (layers, hidden, ffn): ``heads`` enters neither
-estimator and the repair sets ``vocab``, so every chromosome that shares
-those three genes has the same repaired vocab, fitness and size gap, and
-one scoring serves them all. Ranking still breaks ties on the full genes,
-``heads`` included, so the loop's picks are those of scoring each
-chromosome on its own. ``n_evaluations`` still counts one evaluation per
-initial chromosome and per child.
+The loop reads each chromosome's repaired vocab, fitness and size gap
+from one table of the (layers, hidden, ffn) grid, scored up front as
+broadcast arrays; this is exact, as ``heads`` enters neither estimator
+and the repair sets ``vocab``. The table's maximum is the exact optimum,
+reported with the pick's regret. ``n_evaluations`` counts each initial
+chromosome and each child.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -97,33 +97,37 @@ class GaResult:
     best_fitness: float
     history: list[float]
     elapsed_seconds: float
-    n_evaluations: int = 0
-    params: GaParams | None = None
-    population: list[Chromosome] = field(default_factory=list)
+    n_evaluations: int
+    params: GaParams
+    optimum_fitness: float  # the best fitness anywhere in the space
+    population: list[Chromosome]
 
     def to_dict(self) -> dict:
-        cfg = self.best.to_config(self.params.max_seq_len if self.params else 512,
-                                  self.params.num_classes if self.params else 2)
-        size = estimators.model_size(cfg)
-        seq = self.params.fitness_seq_len if self.params else 400
-        flops = estimators.forward_flops(cfg, min(seq, cfg.max_seq_len))
+        cfg = self.best.to_config(self.params.max_seq_len, self.params.num_classes)
+        flops = estimators.forward_flops(cfg, min(self.params.fitness_seq_len, cfg.max_seq_len))
         return {
             "best": cfg.to_dict(),
             "best_fitness": self.best_fitness,
-            "size_mb": size.megabytes,
+            "optimum_fitness": self.optimum_fitness,
+            "regret": self.optimum_fitness - self.best_fitness,
+            "size_mb": estimators.model_size(cfg).megabytes,
             "gflops": flops.gflops,
             "history": self.history,
             "elapsed_seconds": self.elapsed_seconds,
             "n_evaluations": self.n_evaluations,
-            "seed": self.params.rng_seed if self.params else None,
+            "seed": self.params.rng_seed,
         }
 
 
+def _fitness_gap(config, params: GaParams):
+    """The fitness ``gflops - gap`` and the size gap ``|size_mb - target_mb|``
+    that breaks its ties; ``config``'s genes may be broadcast arrays."""
+    gap = abs(estimators.model_size(config).megabytes - params.target_size_mb)
+    return estimators.forward_flops(config, params.fitness_seq_len).gflops - gap, gap
+
+
 def fitness(s: Chromosome, params: GaParams) -> float:
-    cfg = s.to_config(params.max_seq_len, params.num_classes)
-    gflops = estimators.forward_flops(cfg, params.fitness_seq_len).gflops
-    size_mb = estimators.model_size(cfg).megabytes
-    return gflops - abs(size_mb - params.target_size_mb)
+    return _fitness_gap(s.to_config(params.max_seq_len, params.num_classes), params)[0]
 
 
 def random_chromosome(space: SearchSpace, rng: np.random.Generator) -> Chromosome:
@@ -158,9 +162,8 @@ def mutation(c1: Chromosome, space: SearchSpace, rng: np.random.Generator) -> Ch
 
 def _sort_key(item, params: GaParams):
     chrom, fit = item
-    size_mb = estimators.model_size(
-        chrom.to_config(params.max_seq_len, params.num_classes)).megabytes
-    return (-fit, abs(size_mb - params.target_size_mb), chrom.genes())
+    gap = _fitness_gap(chrom.to_config(params.max_seq_len, params.num_classes), params)[1]
+    return -fit, gap, chrom.genes()
 
 
 def selection(merged: list[tuple[Chromosome, float]],
@@ -172,38 +175,40 @@ def selection(merged: list[tuple[Chromosome, float]],
     return ranked[: params.population_size]
 
 
-def repair_vocab(c: Chromosome, space: SearchSpace, params: GaParams) -> Chromosome:
-    """``c`` with the grid vocab whose model size lands nearest the target.
-
-    The size is linear in vocab, so the sizes at the first two grid
-    values give its slope and the nearest grid index follows in closed
-    form, clipped to the grid. Ties go to the smaller vocab.
-    """
-    grid = space.vocab
-    lo, above = (estimators.model_size(ArchConfig(
-        c.layers, c.hidden, c.heads, c.ffn, vocab, params.max_seq_len, params.num_classes)
-    ).megabytes for vocab in (grid.lower, grid.lower + grid.step))
+def _nearest_vocab(config, space: SearchSpace, params: GaParams) -> np.ndarray:
+    """The grid vocab whose model size lands nearest the target, for the other
+    genes of ``config`` (ints or broadcast arrays). The size is linear in vocab,
+    so the sizes at the first two grid values give its slope and the nearest
+    grid index follows in closed form, clipped to the grid. Ties go to the
+    smaller vocab."""
+    grid, target = space.vocab, params.target_size_mb
+    lo, above = (estimators.model_size(SimpleNamespace(**{**vars(config), "vocab": v})).megabytes
+                 for v in (grid.lower, grid.lower + grid.step))
     slope = above - lo
-    k = min(max(round((params.target_size_mb - lo) / slope), 0), grid.size() - 1)
+    k = np.clip(np.rint((target - lo) / slope), 0, grid.size() - 1)
     # sizes are exact multiples of 2**-18 MB, so lo + j * slope is the exact
     # size at index j; comparing the neighbours settles a rounded half step
-    j = min(range(max(k - 1, 0), min(k + 2, grid.size())),
-            key=lambda j: abs(lo + j * slope - params.target_size_mb))
-    return Chromosome(c.layers, c.hidden, c.heads, c.ffn, grid.lower + j * grid.step)
+    j = np.maximum(k - 1, 0)
+    for step in (k, np.minimum(k + 1, grid.size() - 1)):
+        j = np.where(abs(lo + step * slope - target) < abs(lo + j * slope - target), step, j)
+    return (grid.lower + j * grid.step).astype(np.int64)
 
 
-def _survivors(merged: list[tuple[Chromosome, float]], params: GaParams,
-               rank) -> list[tuple[Chromosome, float]]:
-    """The ``population_size`` best distinct chromosomes of ``merged`` by
-    ``rank`` (the :func:`_sort_key` order); copies of the best fill the
+def repair_vocab(c: Chromosome, space: SearchSpace, params: GaParams) -> Chromosome:
+    """``c`` with the grid vocab whose model size lands nearest the target."""
+    vocab = _nearest_vocab(c.to_config(params.max_seq_len, params.num_classes), space, params)
+    return Chromosome(c.layers, c.hidden, c.heads, c.ffn, int(vocab))
+
+
+def _survivors(merged: list, params: GaParams) -> list:
+    """The ``population_size`` best distinct ``(chromosome, fitness, gap)``
+    of ``merged`` in the :func:`_sort_key` order; copies of the best fill the
     population only when too few are distinct."""
     if len(merged) < params.population_size:
         raise ValueError("merged pool smaller than population_size")
-    distinct = sorted(dict.fromkeys(merged), key=rank)
-    if len(distinct) >= params.population_size:
-        return distinct[: params.population_size]
-    copies = sorted(merged, key=rank)
-    return distinct + copies[: params.population_size - len(distinct)]
+    ranked = sorted(merged, key=lambda it: (-it[1], it[2], it[0].genes()))
+    distinct = list(dict.fromkeys(ranked))
+    return (distinct + ranked)[: params.population_size]
 
 
 def search(space: SearchSpace, params: GaParams) -> GaResult:
@@ -223,29 +228,24 @@ def search(space: SearchSpace, params: GaParams) -> GaResult:
                          f"takes {floor_mb:.3f} MB")
     rng = np.random.default_rng(params.rng_seed)
     start = time.perf_counter()
-    # (layers, hidden, ffn) -> (repaired vocab, fitness, size gap); heads
-    # enters neither estimator, so one scoring serves every heads value
-    memo: dict[tuple[int, int, int], tuple[int, float, float]] = {}
+    # score every (layers, hidden, ffn) once, on broadcast gene grids; heads
+    # enters neither estimator, and 1 splits any width
+    grids = space.layers, space.hidden, space.ffn
+    layers, hidden, ffn = np.ix_(*(np.array(grid.values()) for grid in grids))
+    table = SimpleNamespace(layers=layers, hidden=hidden, heads=1, ffn=ffn, vocab=None,
+                            max_seq_len=params.max_seq_len, num_classes=params.num_classes)
+    vocab = table.vocab = _nearest_vocab(table, space, params)
+    fit, gap = _fitness_gap(table, params)
 
-    def evaluate(c: Chromosome) -> tuple[Chromosome, float]:
+    def evaluate(c: Chromosome) -> tuple[Chromosome, float, float]:
         if c.hidden % c.heads:
             c.to_config(params.max_seq_len, params.num_classes)  # raises, as scoring it would
-        key = c.layers, c.hidden, c.ffn
-        if key not in memo:
-            repaired = repair_vocab(c, space, params)
-            item = (repaired, fitness(repaired, params))
-            memo[key] = repaired.vocab, item[1], _sort_key(item, params)[1]
-        vocab, fit, _ = memo[key]
-        if c.vocab != vocab:
-            c = Chromosome(c.layers, c.hidden, c.heads, c.ffn, vocab)
-        return c, fit
-
-    def rank(item):  # the _sort_key order, with the memoized size gap
-        c, fit = item
-        return -fit, memo[c.layers, c.hidden, c.ffn][2], c.genes()
+        at = tuple((g - r.lower) // r.step for g, r in zip((c.layers, c.hidden, c.ffn), grids))
+        c = Chromosome(c.layers, c.hidden, c.heads, c.ffn, vocab.item(at))
+        return c, fit.item(at), gap.item(at)
 
     population = random_initialization(space, params, rng)
-    scored = _survivors([evaluate(c) for c in population], params, rank)
+    scored = _survivors([evaluate(c) for c in population], params)
     n_evals = len(population)
     history: list[float] = []
 
@@ -263,12 +263,12 @@ def search(space: SearchSpace, params: GaParams) -> GaResult:
                 child = mutation(scored[i][0], space, rng)
             children.append(child)
         n_evals += len(children)
-        scored = _survivors(scored + [evaluate(c) for c in children], params, rank)
+        scored = _survivors(scored + [evaluate(c) for c in children], params)
         history.append(scored[0][1])
 
-    best, best_fit = scored[0]
+    best, best_fit, _ = scored[0]
     assert validate(best.to_config(params.max_seq_len, params.num_classes), space).ok
     elapsed = time.perf_counter() - start
     return GaResult(best=best, best_fitness=best_fit, history=history,
                     elapsed_seconds=elapsed, n_evaluations=n_evals, params=params,
-                    population=[c for c, _ in scored])
+                    optimum_fitness=float(fit.max()), population=[c for c, _, _ in scored])

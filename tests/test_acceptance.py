@@ -128,13 +128,14 @@ def _random_search_best(params: GaParams, n: int, seed: int) -> float:
 
 def test_criterion_4_ga_correctness_and_dominance():
     # The GA must beat a best-of-5000 random search on 9 of 10 seeds. The
-    # budget counted is fitness-call slots: 50 + 100 x 50 = 5,050 for the
-    # GA (n_evaluations; memoized repeats fill a slot without a new call)
-    # against 5,000 samples. The GA gets the vocab gene for free through
-    # closed-form repair (two model_size calls per distinct chromosome),
-    # whereas random search samples it. The operators alone cannot win:
-    # cut-off crossover and mutation never change gene 1 (layers), and
-    # elitist selection with duplicates collapses the population early.
+    # budget counted is evaluation slots: 50 + 100 x 50 = 5,050 for the
+    # GA (n_evaluations; each reads its score from a table of the
+    # (layers, hidden, ffn) grid, scored once per run) against 5,000
+    # samples. The GA gets the vocab gene for free through closed-form
+    # repair (built into that table), whereas random search samples it.
+    # The operators alone cannot win: cut-off crossover and mutation never
+    # change gene 1 (layers), and elitist selection with duplicates
+    # collapses the population early.
     # See the gasearch module docstring for the repair and the distinct
     # survivors.
     in_band = dominant = nondecreasing = fast = 0
