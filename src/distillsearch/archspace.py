@@ -11,7 +11,7 @@ values for student models.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
 SEARCHED_FIELDS = ("layers", "hidden", "heads", "ffn", "vocab")
@@ -62,16 +62,6 @@ class ArchConfig:
     @classmethod
     def from_json(cls, text: str) -> "ArchConfig":
         return cls.from_dict(json.loads(text))
-
-    def with_context(self, max_seq_len: Optional[int] = None,
-                     num_classes: Optional[int] = None) -> "ArchConfig":
-        """Copy with different fixed context parameters."""
-        kwargs = {}
-        if max_seq_len is not None:
-            kwargs["max_seq_len"] = max_seq_len
-        if num_classes is not None:
-            kwargs["num_classes"] = num_classes
-        return replace(self, **kwargs) if kwargs else self
 
 
 @dataclass(frozen=True)

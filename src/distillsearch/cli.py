@@ -5,15 +5,17 @@ object keyed by command) alongside stable artifact filenames:
 arch.json, ga_result.json, teacher.ckpt, logits.ldst, student.ckpt.
 
 Exit codes: 0 success; 2 a malformed artifact or flag (ValueError);
-3 a missing or unreadable artifact or split file (FileNotFoundError,
-PermissionError); 4 divergence (FloatingPointError). The exception's
-type alone sets the code, and :func:`main` is the one place that maps it.
+3 an artifact or split file that cannot be read or written (OSError:
+missing, unreadable, a full disk); 4 divergence (FloatingPointError).
+The exception's type alone sets the code, and :func:`main` is the one
+place that maps it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -27,8 +29,9 @@ from . import distill as distill_mod
 from . import estimators, gasearch, nn
 from .archspace import ArchConfig, default_table1, pretrained_reference, validate
 
-# the exception's type alone sets the exit code; main is the one place that maps it
-EXIT_CODES = {ValueError: 2, FileNotFoundError: 3, PermissionError: 3, FloatingPointError: 4}
+# the exception's type alone sets the exit code; main is the one place that maps it.
+# A directory where a file belongs is raised as ValueError where it arises (exit 2).
+EXIT_CODES = {ValueError: 2, OSError: 3, FloatingPointError: 4}
 
 DEFAULT_TEACHER = ArchConfig(layers=4, hidden=128, heads=4, ffn=512, vocab=2000,
                              max_seq_len=32, num_classes=2)
@@ -111,7 +114,8 @@ def cmd_search(args) -> dict:
     (out / "ga_result.json").write_text(json.dumps(doc, indent=2))
     (out / "arch.json").write_text(json.dumps(doc["best"], indent=2))
     print(f"best architecture: {doc['best']}")
-    print(f"size {doc['size_mb']:.3f} MB, fitness {doc['best_fitness']:.4f}, "
+    print(f"size {doc['size_mb']:.3f} MB, fitness {doc['best_fitness']:.4f} "
+          f"(optimum {doc['optimum_fitness']:.4f}, regret {doc['regret']:.4f}), "
           f"{result.elapsed_seconds:.2f}s")
     return {"ga_result": doc,
             "artifacts": {"arch": str(out / "arch.json"),
@@ -157,9 +161,9 @@ def cmd_distill(args) -> dict:
     teacher = nn.load_checkpoint(_require(out / "teacher.ckpt", "teach"))
     student_config = nn.read_artifact(
         args.student_config or _require(out / "arch.json", "search"), ArchConfig.from_json)
-    student_config = student_config.with_context(
-        max_seq_len=teacher.config.max_seq_len,
-        num_classes=teacher.config.num_classes)
+    student_config = dataclasses.replace(student_config,
+                                         max_seq_len=teacher.config.max_seq_len,
+                                         num_classes=teacher.config.num_classes)
     data = _load_or_generate_corpus(out, args.seed)
 
     vocab_map = None
@@ -320,13 +324,13 @@ def main(argv=None) -> int:
         out = _out_dir(args)
         previous = _read_report(out)
         body = args.func(args)
+        report = {"command": args.command, "seed": args.seed,
+                  "wall_time_s": time.perf_counter() - start, **body}
+        if args.command != "report":
+            _write_report(out, {**previous, args.command: report})
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
-    report = {"command": args.command, "seed": args.seed,
-              "wall_time_s": time.perf_counter() - start, **body}
-    if args.command != "report":
-        _write_report(out, {**previous, args.command: report})
     return 0
 
 

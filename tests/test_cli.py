@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import shutil
@@ -82,6 +83,14 @@ class TestSearch:
         arch = json.loads((tmp_path / "arch.json").read_text())
         assert set(arch) == {"layers", "hidden", "heads", "ffn", "vocab",
                              "max_seq_len", "num_classes"}
+
+    def test_reports_optimum_and_regret(self, tmp_path, capsys):
+        assert run(tmp_path, "search", "--target-mb", "3", "--iterations", "2",
+                   "--population", "5", "--child-size", "5") == 0
+        result = json.loads((tmp_path / "ga_result.json").read_text())
+        assert result["optimum_fitness"] == 1.1472510831679688
+        assert result["regret"] == result["optimum_fitness"] - result["best_fitness"] > 0
+        assert f"regret {result['regret']:.4f}" in capsys.readouterr().out
 
     def test_nonpositive_target_exit_2(self, tmp_path):
         assert run(tmp_path, "search", "--target-mb", "0") == 2
@@ -215,6 +224,22 @@ class TestReport:
         doc = json.loads(capsys.readouterr().out)
         assert "search" in doc
         assert doc["search"]["seed"] == 0
+
+    def test_full_disk_exit_3_and_keeps_the_report(self, tmp_path, monkeypatch, capsys):
+        search = ["search", "--target-mb", "3", "--iterations", "2", "--population", "5",
+                  "--child-size", "5"]
+        assert run(tmp_path, *search) == 0
+        before = (tmp_path / "report.json").read_text()
+
+        def full(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device", str(dst))
+
+        monkeypatch.setattr(os, "replace", full)
+        capsys.readouterr()
+        assert run(tmp_path, *search) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "No space left" in err[0]
+        assert (tmp_path / "report.json").read_text() == before
 
     def test_report_without_runs_exit_3(self, tmp_path):
         assert run(tmp_path, "report") == 3
