@@ -1,11 +1,13 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from distillsearch import estimators
-from distillsearch.archspace import GridRange, SearchSpace, default_table1, validate
+from distillsearch.archspace import ArchConfig, GridRange, SearchSpace, default_table1, validate
 from distillsearch.gasearch import (
     Chromosome,
     GaParams,
@@ -29,6 +31,31 @@ class FixedCut:
 
     def integers(self, *a, **k):
         return self.values.pop(0)
+
+
+class TestChromosome:
+    def test_fields_and_genes(self):
+        c = Chromosome(3, 512, 4, 1024, 10000)
+        assert (c.layers, c.hidden, c.heads, c.ffn, c.vocab) == (3, 512, 4, 1024, 10000)
+        assert c.genes() == (3, 512, 4, 1024, 10000)
+        assert type(c.genes()) is tuple
+
+    def test_from_genes_turns_numpy_ints_into_int(self):
+        c = Chromosome.from_genes(np.array([3, 512, 4, 1024, 10000], dtype=np.int64))
+        assert c == Chromosome(3, 512, 4, 1024, 10000)
+        assert all(type(g) is int for g in c.genes())
+
+    def test_hash_and_equality(self):
+        a, b = Chromosome(3, 512, 4, 1024, 10000), Chromosome.from_genes([3, 512, 4, 1024, 10000])
+        assert a == b and hash(a) == hash(b)
+        assert a != Chromosome(3, 512, 8, 1024, 10000)
+        assert len({a, b, Chromosome(3, 512, 8, 1024, 10000)}) == 2
+
+    def test_to_config(self):
+        cfg = Chromosome(3, 512, 4, 1024, 10000).to_config(max_seq_len=32, num_classes=3)
+        assert cfg == ArchConfig(layers=3, hidden=512, heads=4, ffn=1024, vocab=10000,
+                                 max_seq_len=32, num_classes=3)
+        assert Chromosome(1, 16, 1, 32, 1000).to_config().max_seq_len == 512
 
 
 class TestFitness:
@@ -354,6 +381,33 @@ class TestFrozenTrajectory:
         assert res.history == _history(history)
         assert res.n_evaluations == 5050
         assert [c.genes() for c in res.population] == population
+
+
+class TestFrozenDigest:
+    """The parent's ``to_dict()`` fields (without ``elapsed_seconds``) and
+    final population genes, hashed over GA seeds 0-3 at each benchmark
+    budget: a rewrite of the loop must keep every run bit-identical."""
+
+    KEYS = ("best", "best_fitness", "optimum_fitness", "regret", "size_mb", "gflops",
+            "history", "n_evaluations", "seed")
+    DIGESTS = {
+        (3.0, 400, 512): "e29fe2a6c62938c032b9fca4222d5759b4a2e558b2e2ae3abfb280f7363d08bf",
+        (25.0, 400, 512): "e6816d138695e1a67c9b37bd3c065175073fcbc5065328411b91505c9e7bc039",
+        (50.0, 400, 512): "144717edb3acc83cd466f9f13b580a0202a922b6211f20aec0f65c4378c18139",
+        (0.408, 24, 32): "85a16cf33136423e60303442c5076fcd4ccc986d103cec7ccdc26b959f4019dd",
+    }
+
+    @pytest.mark.parametrize("budget", sorted(DIGESTS))
+    def test_runs_hash_to_the_frozen_digest(self, budget):
+        target_mb, seq_len, max_seq_len = budget
+        h = hashlib.sha256()
+        for seed in range(4):
+            res = search(SPACE, GaParams(target_size_mb=target_mb, fitness_seq_len=seq_len,
+                                         max_seq_len=max_seq_len, rng_seed=seed))
+            doc = res.to_dict()
+            h.update(json.dumps({k: doc[k] for k in self.KEYS}, sort_keys=True).encode())
+            h.update(json.dumps([c.genes() for c in res.population]).encode())
+        assert h.hexdigest() == self.DIGESTS[budget]
 
 
 GRID_CHROMOSOMES = st.builds(
