@@ -31,13 +31,20 @@ broadcast arrays; this is exact, as ``heads`` enters neither estimator
 and the repair sets ``vocab``. The table's maximum is the exact optimum,
 reported with the pick's regret. ``n_evaluations`` counts each initial
 chromosome and each child.
+
+A :class:`Chromosome` is a named tuple: the operators slice it, and
+hashing, equality and ranking run in C. The loop's ``rng`` calls, in
+order and with their arguments, are the trajectory; a rewrite that keeps
+every call keeps every pick, history and population bit for bit.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +54,7 @@ from .archspace import SEARCHED_FIELDS, ArchConfig, SearchSpace, validate
 GENE_ORDER = SEARCHED_FIELDS  # cut-off positions are 1-based over this order
 
 
-@dataclass(frozen=True)
-class Chromosome:
+class Chromosome(NamedTuple):
     layers: int
     hidden: int
     heads: int
@@ -56,7 +62,7 @@ class Chromosome:
     vocab: int
 
     def genes(self) -> tuple[int, ...]:
-        return self.layers, self.hidden, self.heads, self.ffn, self.vocab
+        return tuple(self)
 
     def to_config(self, max_seq_len: int = 512, num_classes: int = 2) -> ArchConfig:
         return ArchConfig(layers=self.layers, hidden=self.hidden, heads=self.heads,
@@ -65,7 +71,7 @@ class Chromosome:
 
     @classmethod
     def from_genes(cls, genes) -> "Chromosome":
-        return cls(*map(int, genes))  # the fields are declared in GENE_ORDER
+        return cls._make(map(int, genes))
 
 
 @dataclass(frozen=True)
@@ -131,11 +137,8 @@ def fitness(s: Chromosome, params: GaParams) -> float:
 
 
 def random_chromosome(space: SearchSpace, rng: np.random.Generator) -> Chromosome:
-    genes = []
-    for f in GENE_ORDER:
-        values = space.grid_values(f)
-        genes.append(values[rng.integers(len(values))])
-    return Chromosome.from_genes(genes)
+    return Chromosome.from_genes(values[rng.integers(len(values))]
+                                 for values in map(space.grid_values, GENE_ORDER))
 
 
 def random_initialization(space: SearchSpace, params: GaParams,
@@ -146,24 +149,24 @@ def random_initialization(space: SearchSpace, params: GaParams,
 def crossover(c1: Chromosome, c2: Chromosome, rng: np.random.Generator) -> Chromosome:
     """Keep c1's genes up to a random cut, take c2's after it."""
     h = int(rng.integers(1, len(GENE_ORDER)))  # 1..4; h=5 would copy c1
-    g1, g2 = c1.genes(), c2.genes()
-    return Chromosome.from_genes(g1[:h] + g2[h:])
+    return Chromosome._make(c1[:h] + c2[h:])
+
+
+_grids = None, ()  # the last space mutation saw, and its gene grids in GENE_ORDER
 
 
 def mutation(c1: Chromosome, space: SearchSpace, rng: np.random.Generator) -> Chromosome:
     """Keep genes up to a random cut, resample the tail uniformly."""
+    global _grids
     h = int(rng.integers(1, len(GENE_ORDER)))
-    genes = list(c1.genes())
+    cached, grids = _grids
+    if cached is not space:  # build the grids once per space, not on every draw
+        grids = tuple(space.grid_values(f) for f in GENE_ORDER)
+        _grids = space, grids
+    genes = list(c1)
     for i in range(h, len(GENE_ORDER)):
-        values = space.grid_values(GENE_ORDER[i])
-        genes[i] = values[rng.integers(len(values))]
-    return Chromosome.from_genes(genes)
-
-
-def _sort_key(item, params: GaParams):
-    chrom, fit = item
-    gap = _fitness_gap(chrom.to_config(params.max_seq_len, params.num_classes), params)[1]
-    return -fit, gap, chrom.genes()
+        genes[i] = grids[i][rng.integers(len(grids[i]))]
+    return Chromosome._make(genes)
 
 
 def selection(merged: list[tuple[Chromosome, float]],
@@ -171,7 +174,10 @@ def selection(merged: list[tuple[Chromosome, float]],
     """Top population_size by fitness; ties by size gap, then gene order."""
     if len(merged) < params.population_size:
         raise ValueError("merged pool smaller than population_size")
-    ranked = sorted(merged, key=lambda it: _sort_key(it, params))
+
+    def gap(c: Chromosome) -> float:
+        return _fitness_gap(c.to_config(params.max_seq_len, params.num_classes), params)[1]
+    ranked = sorted(merged, key=lambda it: (-it[1], gap(it[0]), it[0]))
     return ranked[: params.population_size]
 
 
@@ -201,23 +207,18 @@ def repair_vocab(c: Chromosome, space: SearchSpace, params: GaParams) -> Chromos
 
 
 def _survivors(merged: list, params: GaParams) -> list:
-    """The ``population_size`` best distinct ``(chromosome, fitness, gap)``
-    of ``merged`` in the :func:`_sort_key` order; copies of the best fill the
-    population only when too few are distinct."""
-    if len(merged) < params.population_size:
-        raise ValueError("merged pool smaller than population_size")
-    ranked = sorted(merged, key=lambda it: (-it[1], it[2], it[0].genes()))
+    """The ``population_size`` best distinct ``(-fitness, gap, chromosome)``
+    items of ``merged``, which sort as :func:`selection` ranks; copies of
+    the best fill the population only when too few are distinct."""
+    ranked = sorted(merged)
     distinct = list(dict.fromkeys(ranked))
     return (distinct + ranked)[: params.population_size]
 
 
 def search(space: SearchSpace, params: GaParams) -> GaResult:
-    """Run the full evolutionary loop; deterministic given the seed.
-
-    Raises ValueError when even the smallest architecture in ``space`` is
-    larger than the target: every size grows with every gene, so no pick
-    could fit.
-    """
+    """Run the full evolutionary loop; deterministic given the seed. Raises
+    ValueError when even the smallest architecture in ``space`` is larger
+    than the target: every size grows with every gene, so no pick could fit."""
     smallest = Chromosome(space.layers.lower, space.hidden.lower, min(space.heads),
                           space.ffn.lower, space.vocab.lower)
     floor_mb = estimators.model_size(
@@ -237,38 +238,37 @@ def search(space: SearchSpace, params: GaParams) -> GaResult:
     vocab = table.vocab = _nearest_vocab(table, space, params)
     fit, gap = _fitness_gap(table, params)
 
-    def evaluate(c: Chromosome) -> tuple[Chromosome, float, float]:
-        if c.hidden % c.heads:
-            c.to_config(params.max_seq_len, params.num_classes)  # raises, as scoring it would
-        at = tuple((g - r.lower) // r.step for g, r in zip((c.layers, c.hidden, c.ffn), grids))
-        c = Chromosome(c.layers, c.hidden, c.heads, c.ffn, vocab.item(at))
-        return c, fit.item(at), gap.item(at)
+    # a chromosome's table index is its (layers, hidden, ffn) in grid steps
+    lower, step = np.array([(grid.lower, grid.step) for grid in grids]).T
+    vocab, rank, gap = vocab.ravel(), -fit.ravel(), gap.ravel()
 
-    population = random_initialization(space, params, rng)
-    scored = _survivors([evaluate(c) for c in population], params)
-    n_evals = len(population)
+    def evaluate(chromosomes: list[Chromosome]) -> list[tuple[float, float, Chromosome]]:
+        genes = np.fromiter(chain.from_iterable(chromosomes), np.int64).reshape(-1, 5)
+        split = genes[:, 1] % genes[:, 2]
+        if split.any():  # raises for the first whose hidden does not split over heads
+            chromosomes[split.argmax()].to_config(params.max_seq_len, params.num_classes)
+        at = np.ravel_multi_index(((genes[:, [0, 1, 3]] - lower) // step).T, fit.shape)
+        genes[:, 4] = vocab[at]
+        return list(zip(rank[at].tolist(), gap[at].tolist(),
+                        map(Chromosome._make, genes.tolist())))
+
+    def child() -> Chromosome:
+        if rng.random() < params.crossover_rate:
+            i = rng.integers(params.population_size)
+            j = rng.integers(params.population_size - 1)
+            return crossover(scored[i][2], scored[j + (j >= i)][2], rng)  # distinct parents
+        return mutation(scored[rng.integers(params.population_size)][2], space, rng)
+
+    scored = _survivors(evaluate(random_initialization(space, params, rng)), params)
     history: list[float] = []
-
     for _ in range(params.max_iter):
-        children = []
-        while len(children) < params.child_size:
-            if rng.random() < params.crossover_rate:
-                i = int(rng.integers(params.population_size))
-                j = int(rng.integers(params.population_size - 1))
-                if j >= i:
-                    j += 1  # two distinct parents
-                child = crossover(scored[i][0], scored[j][0], rng)
-            else:
-                i = int(rng.integers(params.population_size))
-                child = mutation(scored[i][0], space, rng)
-            children.append(child)
-        n_evals += len(children)
-        scored = _survivors(scored + [evaluate(c) for c in children], params)
-        history.append(scored[0][1])
+        scored = _survivors(scored + evaluate([child() for _ in range(params.child_size)]),
+                            params)
+        history.append(-scored[0][0])
 
-    best, best_fit, _ = scored[0]
+    best = scored[0][2]
     assert validate(best.to_config(params.max_seq_len, params.num_classes), space).ok
-    elapsed = time.perf_counter() - start
-    return GaResult(best=best, best_fitness=best_fit, history=history,
-                    elapsed_seconds=elapsed, n_evaluations=n_evals, params=params,
-                    optimum_fitness=float(fit.max()), population=[c for c, _, _ in scored])
+    return GaResult(best=best, best_fitness=history[-1], history=history,
+                    elapsed_seconds=time.perf_counter() - start, params=params,
+                    n_evaluations=params.population_size + params.max_iter * params.child_size,
+                    optimum_fitness=float(fit.max()), population=[c for _, _, c in scored])
