@@ -117,6 +117,8 @@ def cmd_search(args) -> dict:
     print(f"size {doc['size_mb']:.3f} MB, fitness {doc['best_fitness']:.4f} "
           f"(optimum {doc['optimum_fitness']:.4f}, regret {doc['regret']:.4f}), "
           f"{result.elapsed_seconds:.2f}s")
+    print(f"last generation: median fitness {doc['median_history'][-1]:.4f}, "
+          f"{doc['distinct_history'][-1]} of {params.population_size} distinct")
     return {"ga_result": doc,
             "artifacts": {"arch": str(out / "arch.json"),
                           "ga_result": str(out / "ga_result.json")}}

@@ -30,7 +30,9 @@ from one table of the (layers, hidden, ffn) grid, scored up front as
 broadcast arrays; this is exact, as ``heads`` enters neither estimator
 and the repair sets ``vocab``. The table's maximum is the exact optimum,
 reported with the pick's regret. ``n_evaluations`` counts each initial
-chromosome and each child.
+chromosome and each child. Each generation records the survivors' best
+fitness (``history``), their median fitness and how many are distinct,
+read from the ranked survivors without scoring anything again.
 
 A :class:`Chromosome` is a named tuple: the operators slice it, and
 hashing, equality and ranking run in C. The loop's ``rng`` calls, in
@@ -40,6 +42,7 @@ every call keeps every pick, history and population bit for bit.
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 from itertools import chain
@@ -107,6 +110,8 @@ class GaResult:
     params: GaParams
     optimum_fitness: float  # the best fitness anywhere in the space
     population: list[Chromosome]
+    median_history: list[float]  # per generation, the survivors' median fitness
+    distinct_history: list[int]  # per generation, how many survivors are distinct
 
     def to_dict(self) -> dict:
         cfg = self.best.to_config(self.params.max_seq_len, self.params.num_classes)
@@ -119,6 +124,8 @@ class GaResult:
             "size_mb": estimators.model_size(cfg).megabytes,
             "gflops": flops.gflops,
             "history": self.history,
+            "median_history": self.median_history,
+            "distinct_history": self.distinct_history,
             "elapsed_seconds": self.elapsed_seconds,
             "n_evaluations": self.n_evaluations,
             "seed": self.params.rng_seed,
@@ -206,13 +213,14 @@ def repair_vocab(c: Chromosome, space: SearchSpace, params: GaParams) -> Chromos
     return Chromosome(c.layers, c.hidden, c.heads, c.ffn, int(vocab))
 
 
-def _survivors(merged: list, params: GaParams) -> list:
+def _survivors(merged: list, params: GaParams) -> tuple[list, int]:
     """The ``population_size`` best distinct ``(-fitness, gap, chromosome)``
-    items of ``merged``, which sort as :func:`selection` ranks; copies of
-    the best fill the population only when too few are distinct."""
-    ranked = sorted(merged)
+    items of ``merged``, which sort as :func:`selection` ranks, and how many
+    of them are distinct; copies of the best fill the population only when
+    too few are distinct."""
+    ranked, n = sorted(merged), params.population_size
     distinct = list(dict.fromkeys(ranked))
-    return (distinct + ranked)[: params.population_size]
+    return (distinct + ranked)[:n], min(len(distinct), n)
 
 
 def search(space: SearchSpace, params: GaParams) -> GaResult:
@@ -259,16 +267,19 @@ def search(space: SearchSpace, params: GaParams) -> GaResult:
             return crossover(scored[i][2], scored[j + (j >= i)][2], rng)  # distinct parents
         return mutation(scored[rng.integers(params.population_size)][2], space, rng)
 
-    scored = _survivors(evaluate(random_initialization(space, params, rng)), params)
-    history: list[float] = []
+    scored, _ = _survivors(evaluate(random_initialization(space, params, rng)), params)
+    history, median_history, distinct_history = [], [], []
     for _ in range(params.max_iter):
-        scored = _survivors(scored + evaluate([child() for _ in range(params.child_size)]),
-                            params)
+        children = evaluate([child() for _ in range(params.child_size)])
+        scored, n_distinct = _survivors(scored + children, params)
         history.append(-scored[0][0])
+        median_history.append(statistics.median(-rank for rank, _, _ in scored))
+        distinct_history.append(n_distinct)
 
     best = scored[0][2]
     assert validate(best.to_config(params.max_seq_len, params.num_classes), space).ok
     return GaResult(best=best, best_fitness=history[-1], history=history,
                     elapsed_seconds=time.perf_counter() - start, params=params,
                     n_evaluations=params.population_size + params.max_iter * params.child_size,
-                    optimum_fitness=float(fit.max()), population=[c for _, _, c in scored])
+                    optimum_fitness=float(fit.max()), population=[c for _, _, c in scored],
+                    median_history=median_history, distinct_history=distinct_history)

@@ -92,6 +92,15 @@ class TestSearch:
         assert result["regret"] == result["optimum_fitness"] - result["best_fitness"] > 0
         assert f"regret {result['regret']:.4f}" in capsys.readouterr().out
 
+    def test_reports_generation_statistics(self, tmp_path, capsys):
+        assert run(tmp_path, "search", "--target-mb", "3", "--iterations", "3",
+                   "--population", "5", "--child-size", "5") == 0
+        result = json.loads((tmp_path / "ga_result.json").read_text())
+        assert len(result["median_history"]) == len(result["distinct_history"]) == 3
+        out = capsys.readouterr().out
+        assert (f"median fitness {result['median_history'][-1]:.4f}, "
+                f"{result['distinct_history'][-1]} of 5 distinct") in out
+
     def test_nonpositive_target_exit_2(self, tmp_path):
         assert run(tmp_path, "search", "--target-mb", "0") == 2
 

@@ -261,6 +261,29 @@ class TestSearch:
         assert {c.ffn for c in res.population} == {32, 64}
         assert res.population[0] == res.best
 
+    def test_generation_statistics(self):
+        res = search(SPACE, self.SMALL)
+        p = self.SMALL
+        assert len(res.median_history) == len(res.distinct_history) == p.max_iter
+        for best, median, distinct in zip(res.history, res.median_history,
+                                          res.distinct_history):
+            assert median <= best
+            assert 1 <= distinct <= p.population_size
+        assert res.distinct_history[-1] == len(set(res.population))
+        assert res.median_history[-1] == float(np.median([fitness(c, p) for c in res.population]))
+        doc = res.to_dict()
+        assert doc["median_history"] == res.median_history
+        assert doc["distinct_history"] == res.distinct_history
+
+    def test_distinct_count_below_population_in_a_small_space(self):
+        # two repaired chromosomes exist here, fewer than the population of 4
+        space = SearchSpace(layers=GridRange(1, 1, 1), hidden=GridRange(16, 16, 16),
+                            heads=(1,), ffn=GridRange(32, 64, 32),
+                            vocab=GridRange(1000, 5000, 1000))
+        res = search(space, GaParams(population_size=4, max_iter=3, child_size=4, rng_seed=0))
+        assert all(1 <= d <= 2 for d in res.distinct_history)
+        assert res.distinct_history[-1] == 2 < 4
+
     def test_head_split_checked_for_every_chromosome(self):
         # hidden 12 does not split over 8 heads; sharing a score across
         # heads must not let such a chromosome through
