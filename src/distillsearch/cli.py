@@ -57,8 +57,11 @@ def _read_report(out: Path) -> dict:
 def _write_report(out: Path, doc: dict) -> None:
     """Replace report.json in one step, so an interrupted write leaves the old file."""
     tmp = out / "report.json.tmp"
-    tmp.write_text(json.dumps(doc, indent=2))
-    os.replace(tmp, out / "report.json")
+    try:
+        tmp.write_text(json.dumps(doc, indent=2))
+        os.replace(tmp, out / "report.json")
+    finally:
+        tmp.unlink(missing_ok=True)  # gone after a replace; a failed write leaves none
 
 
 def _require(path: Path, produced_by: str) -> Path:

@@ -250,6 +250,31 @@ class TestReport:
         assert len(err) == 1 and err[0].startswith("error: ") and "No space left" in err[0]
         assert (tmp_path / "report.json").read_text() == before
 
+    @pytest.mark.parametrize("failing", ["write_text", "replace"])
+    def test_failed_report_write_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys,
+                                                     failing):
+        real_write_text = Path.write_text
+
+        def write_half(path, data, *args, **kwargs):
+            if path.name != "report.json.tmp":
+                return real_write_text(path, data, *args, **kwargs)
+            real_write_text(path, data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        def refuse(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device", str(dst))
+
+        if failing == "write_text":
+            monkeypatch.setattr(Path, "write_text", write_half)
+        else:
+            monkeypatch.setattr(os, "replace", refuse)
+        assert run(tmp_path, "search", "--target-mb", "3", "--iterations", "2",
+                   "--population", "5", "--child-size", "5") == 3
+        assert "No space left" in capsys.readouterr().err
+        assert not (tmp_path / "report.json.tmp").exists()
+        assert not (tmp_path / "report.json").exists()
+        assert (tmp_path / "ga_result.json").exists()  # the command's own artifacts stay
+
     def test_report_without_runs_exit_3(self, tmp_path):
         assert run(tmp_path, "report") == 3
 
