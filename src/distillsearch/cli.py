@@ -182,10 +182,10 @@ def cmd_distill(args) -> dict:
     nn.save_checkpoint(student, out / "student.ckpt")
 
     test_ids = [ex.ids for ex in data.test]
-    test_labels = [ex.label for ex in data.test]
-    test_acc = distill_mod.agreement(student, test_labels, test_ids, vocab_map)
-    teacher_agree = distill_mod.agreement(student, nn.predict_logits(teacher, test_ids),
-                                         test_ids, vocab_map)
+    logits = nn.predict_logits(  # run the student over the test split once, for both rates
+        student, [distill_mod.apply_vocab_map(ids, vocab_map) for ids in test_ids])
+    test_acc = distill_mod.match_rate(logits, [ex.label for ex in data.test])
+    teacher_agree = distill_mod.match_rate(logits, nn.predict_logits(teacher, test_ids))
     print(f"student: test acc {test_acc:.4f}, teacher agreement {teacher_agree:.4f}")
     return {"student_config": student_config.to_dict(),
             "temperature": args.temperature, "lr": args.lr,

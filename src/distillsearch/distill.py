@@ -199,17 +199,25 @@ def distill_train(student_config: ArchConfig, data: LogitDataset,
 
 def agreement(student: EncoderModel, references, eval_ids,
               vocab_map: dict[int, int] | None = None) -> float:
-    """Fraction of examples where the student argmax matches the reference.
-
-    ``references`` is a sequence of integer labels or of teacher logit
-    vectors (argmax is taken per vector).
-    """
+    """Fraction of examples where the student argmax matches the reference
+    (see :func:`match_rate`)."""
     eval_ids = list(eval_ids)
     references = list(references)
-    if not eval_ids:
-        raise ValueError("empty evaluation set")
     if len(eval_ids) != len(references):
         raise ValueError("eval set and references differ in length")
-    preds = nn.predict_logits(student, [apply_vocab_map(ids, vocab_map) for ids in eval_ids])
+    return match_rate(
+        nn.predict_logits(student, [apply_vocab_map(ids, vocab_map) for ids in eval_ids]),
+        references)
+
+
+def match_rate(logits: np.ndarray, references) -> float:
+    """Fraction of rows of ``logits`` whose argmax matches the reference.
+
+    ``references`` is a sequence of integer labels or of teacher logit
+    vectors (argmax is taken per vector), one per row.
+    """
     labels = [int(np.argmax(ref)) if np.ndim(ref) > 0 else int(ref) for ref in references]
-    return sum(int(p) == label for p, label in zip(preds.argmax(-1), labels)) / len(eval_ids)
+    if not labels:
+        raise ValueError("empty evaluation set")
+    preds = logits.argmax(-1)
+    return sum(int(p) == label for p, label in zip(preds, labels, strict=True)) / len(labels)

@@ -15,6 +15,7 @@ from distillsearch.distill import (
     capture_teacher_logits,
     dataset_loss,
     distill_train,
+    match_rate,
     soft_ce,
     soft_ce_loss,
     soft_ce_loss_grad,
@@ -230,6 +231,21 @@ class TestAgreement:
         model = nn.init(TINY, 10)
         with pytest.raises(ValueError):
             agreement(model, [], [])
+
+
+    def test_one_pass_gives_both_rates(self):
+        student, teacher = nn.init(TINY, 11), nn.init(TINY, 12)
+        rng = np.random.default_rng(2)
+        seqs = [rng.integers(1, 20, size=int(n)).tolist() for n in rng.integers(3, 9, size=60)]
+        labels = [i % 2 for i in range(60)]
+        teacher_logits = nn.predict_logits(teacher, seqs)
+        logits = nn.predict_logits(student, seqs)
+        assert match_rate(logits, labels) == agreement(student, labels, seqs)
+        assert match_rate(logits, teacher_logits) == agreement(student, teacher_logits, seqs)
+        with pytest.raises(ValueError):
+            match_rate(logits, labels[:-1])
+        with pytest.raises(ValueError):
+            match_rate(logits[:0], [])
 
 
 class TestVocabMap:
