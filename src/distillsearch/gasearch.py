@@ -159,7 +159,9 @@ def crossover(c1: Chromosome, c2: Chromosome, rng: np.random.Generator) -> Chrom
     return Chromosome._make(c1[:h] + c2[h:])
 
 
-_grids = None, ()  # the last space mutation saw, and its gene grids in GENE_ORDER
+# the last space mutation saw and its gene grids in GENE_ORDER; the pair is
+# replaced whole, so every call reads grids that belong to its own space
+_grids = None, ()
 
 
 def mutation(c1: Chromosome, space: SearchSpace, rng: np.random.Generator) -> Chromosome:
@@ -184,6 +186,7 @@ def selection(merged: list[tuple[Chromosome, float]],
 
     def gap(c: Chromosome) -> float:
         return _fitness_gap(c.to_config(params.max_seq_len, params.num_classes), params)[1]
+
     ranked = sorted(merged, key=lambda it: (-it[1], gap(it[0]), it[0]))
     return ranked[: params.population_size]
 
@@ -251,6 +254,7 @@ def search(space: SearchSpace, params: GaParams) -> GaResult:
     vocab, rank, gap = vocab.ravel(), -fit.ravel(), gap.ravel()
 
     def evaluate(chromosomes: list[Chromosome]) -> list[tuple[float, float, Chromosome]]:
+        # columns in GENE_ORDER: layers, hidden, heads, ffn, vocab
         genes = np.fromiter(chain.from_iterable(chromosomes), np.int64).reshape(-1, 5)
         split = genes[:, 1] % genes[:, 2]
         if split.any():  # raises for the first whose hidden does not split over heads
@@ -273,7 +277,7 @@ def search(space: SearchSpace, params: GaParams) -> GaResult:
         children = evaluate([child() for _ in range(params.child_size)])
         scored, n_distinct = _survivors(scored + children, params)
         history.append(-scored[0][0])
-        median_history.append(statistics.median(-rank for rank, _, _ in scored))
+        median_history.append(statistics.median(-item[0] for item in scored))
         distinct_history.append(n_distinct)
 
     best = scored[0][2]
