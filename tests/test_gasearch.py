@@ -407,9 +407,10 @@ class TestFrozenTrajectory:
 
 
 class TestFrozenDigest:
-    """The parent's ``to_dict()`` fields (without ``elapsed_seconds``) and
-    final population genes, hashed over GA seeds 0-3 at each benchmark
-    budget: a rewrite of the loop must keep every run bit-identical."""
+    """``to_dict()``'s KEYS (all but ``elapsed_seconds`` and the generation
+    statistics) and the final population genes, hashed over GA seeds 0-3 at
+    each benchmark budget: a rewrite of the loop must keep every run
+    bit-identical."""
 
     KEYS = ("best", "best_fitness", "optimum_fitness", "regret", "size_mb", "gflops",
             "history", "n_evaluations", "seed")
