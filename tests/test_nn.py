@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -8,6 +9,8 @@ from distillsearch import distill, estimators, nn
 from distillsearch.archspace import ArchConfig
 
 TINY = ArchConfig(layers=1, hidden=8, heads=2, ffn=16, vocab=20, max_seq_len=8)
+# 50,786 weights: more than one 32,768-element chunk of the Adam update
+WIDE = ArchConfig(layers=2, hidden=32, heads=2, ffn=64, vocab=1000, max_seq_len=16)
 
 
 def fd_check(model, loss_fn, grads, n_per_tensor=4, eps=1e-4, seed=0):
@@ -359,6 +362,52 @@ class TestCheckpoint:
         path.write_bytes(magic + b"\n" + json.dumps(doc).encode() + b"\n" + payload)
         with pytest.raises(ValueError):
             nn.load_checkpoint(path)
+
+
+class TestPinnedBits:
+    """Digests taken when every weight, gradient and Adam moment was its own
+    array: how they are laid out in memory must not change a single bit."""
+
+    @pytest.mark.parametrize("cfg, digest", [
+        (TINY, "cf6dbc293a23dce67a9b4474503a13599cda7fe56a945821e117c4b16bac89ae"),
+        (WIDE, "a1e5e5192d157ceed4807fd55e2b08275392533e2dcd16f5b505ab3013be192b"),
+    ])
+    def test_checkpoint_of_init(self, tmp_path, cfg, digest):
+        nn.save_checkpoint(nn.init(cfg, 3), tmp_path / "m.ckpt")
+        assert hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest() == digest
+
+    def test_clipped_training_trajectory(self):
+        # max_grad_norm is far below the gradient norm, so every step clips and the
+        # per-tensor order of the norm's sums reaches the weights
+        rng = np.random.default_rng(14)
+        seqs = [rng.integers(0, WIDE.vocab, size=int(n)).tolist()
+                for n in rng.integers(3, 7, size=24)]
+        labels = rng.integers(0, 2, size=24)
+        model = nn.init(WIDE, 14)
+
+        def loss_and_grad(batch, logits):
+            logp = nn.log_softmax(logits)
+            onehot = np.eye(2)[labels[batch]]
+            return -(onehot * logp).sum(-1), np.exp(logp) - onehot
+
+        losses = nn.train_loop(model, rng, seqs, loss_and_grad,
+                               nn.TrainParams(learning_rate=1e-2, epochs=3, batch_size=8,
+                                              max_grad_norm=1e-3))
+        h = hashlib.sha256(json.dumps(losses).encode())
+        for name in nn.weight_names(WIDE):
+            h.update(model.weights[name].tobytes())
+        assert h.hexdigest() == "d179296658b008fed84792a60fb32f42ff9efe13443adb4208ffdc6d2d04252c"
+
+    def test_weight_writes_seen_after_init_and_load(self, tmp_path):
+        model = nn.init(TINY, 15)
+        nn.save_checkpoint(model, tmp_path / "a.ckpt")
+        for m in (model, nn.load_checkpoint(tmp_path / "a.ckpt")):
+            m.weights["cls_w"][:] = 0.0
+            m.weights["cls_b"][:] = [0.5, -1.5]
+            assert np.array_equal(nn.forward(m, [1, 2, 3]), [0.5, -1.5])
+            nn.save_checkpoint(m, tmp_path / "b.ckpt")
+            assert np.array_equal(nn.load_checkpoint(tmp_path / "b.ckpt").weights["cls_b"],
+                                  [0.5, -1.5])
 
 
 @pytest.fixture(scope="module")
