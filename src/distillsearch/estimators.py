@@ -77,3 +77,11 @@ def forward_flops(config: ArchConfig, seq_len: int) -> FlopsEstimate:
     head = 2 * h * h + 2 * h * config.num_classes
     total = config.layers * per_layer + head
     return FlopsEstimate(flops=total, gflops=total / 1e9, seq_len=s)
+
+
+def live_flops(config: ArchConfig, seq_len: int) -> FlopsEstimate:
+    """FLOPs of one sequence in a batched pass (``nn.forward_batch``), whose last layer
+    runs its query, attention-output and FFN products for position 0 alone."""
+    h, d, s = config.hidden, config.ffn, seq_len
+    total = forward_flops(config, s).flops - (s - 1) * (4 * h * h + 4 * s * h + 4 * h * d)
+    return FlopsEstimate(flops=total, gflops=total / 1e9, seq_len=s)

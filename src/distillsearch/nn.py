@@ -1,8 +1,9 @@
 """Minimal dense transformer-encoder classifier in numpy.
 
 Parameterized exactly by :class:`~distillsearch.archspace.ArchConfig`:
-the scalar weight count always equals ``estimators.param_count`` and an
-instrumented forward pass tallies exactly ``estimators.forward_flops``.
+the scalar weight count always equals ``estimators.param_count``, an
+instrumented B=1 :func:`forward` tallies exactly ``estimators.forward_flops``
+and a batched pass ``estimators.live_flops`` per sequence.
 Used as both teacher and student at desk scale, so it also holds the one
 engine both run on: :func:`train_loop` (any loss over the logits) and
 :func:`predict_logits` (batched inference in input order).
@@ -12,12 +13,14 @@ layer-norm, then per layer a bidirectional self-attention block and a
 GELU feed-forward block, each followed by residual add + layer-norm;
 classification from the first token through a tanh pooler and a linear
 head. All math is fp64 so finite-difference gradient checks are tight;
-checkpoints store fp32. Every artifact, checkpoint or not, loads through
+checkpoints store fp32. Weights are views into one flat buffer, as are
+gradients. Every artifact, checkpoint or not, loads through
 :func:`read_artifact`, which names the file of any malformed content.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -94,18 +97,37 @@ def _weight_shape(name: str, config: ArchConfig) -> tuple[int, ...]:
     return shapes[base]
 
 
+@functools.lru_cache(maxsize=32)
+def _layout(config: ArchConfig) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
+    """(name, shape, start, stop) of each tensor in a flat buffer, in weight_names order."""
+    layout, stop = [], 0
+    for name in weight_names(config):
+        shape = _weight_shape(name, config)
+        start, stop = stop, stop + int(np.prod(shape))
+        layout.append((name, shape, start, stop))
+    return tuple(layout)
+
+
+def _views(flat: np.ndarray, config: ArchConfig) -> dict[str, np.ndarray]:
+    return {name: flat[start:stop].reshape(shape) for name, shape, start, stop in _layout(config)}
+
+
 @dataclass
 class EncoderModel:
-    """Weights for ``config``, plus the teacher-id to model-id map when the
-    model was distilled onto a smaller vocabulary. Callers apply the map
-    to their ids before :func:`forward`; the model never applies it."""
+    """Weights for ``config`` as named views into one fp64 buffer, ``flat``, plus
+    the teacher-id to model-id map when the model was distilled onto a smaller
+    vocabulary. Callers apply the map to their ids before :func:`forward`."""
 
     config: ArchConfig
-    weights: dict[str, np.ndarray]
+    flat: np.ndarray
     vocab_map: dict[int, int] | None = None
+    weights: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.weights = _views(self.flat, self.config)
 
     def num_params(self) -> int:
-        return sum(w.size for w in self.weights.values())
+        return self.flat.size
 
 
 def init(config: ArchConfig, rng: np.random.Generator | int) -> EncoderModel:
@@ -114,17 +136,16 @@ def init(config: ArchConfig, rng: np.random.Generator | int) -> EncoderModel:
         raise ValueError("hidden must be divisible by heads")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    weights = {}
-    for name in weight_names(config):
-        shape = _weight_shape(name, config)
+    model = EncoderModel(config, np.empty(_layout(config)[-1][-1]))
+    for name, w in model.weights.items():
         base = name.split(".")[-1]
         if base.endswith("_g"):
-            weights[name] = np.ones(shape)
+            w.fill(1.0)
         elif base.endswith("_b"):
-            weights[name] = np.zeros(shape)
+            w.fill(0.0)
         else:
-            weights[name] = rng.normal(0.0, INIT_STD, size=shape)
-    return EncoderModel(config, weights)
+            w[...] = rng.normal(0.0, INIT_STD, size=w.shape)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +238,15 @@ def forward_batch(model: EncoderModel, ids: np.ndarray,
                   want_cache: bool = False):
     """Forward a (batch, seq) id array; returns (logits, cache-or-None).
 
-    Without ``want_cache`` every layer runs at every position: the work
-    ``estimators.forward_flops`` counts. With it (a training step) the last
-    layer computes queries, attention output and feed-forward block for
-    position 0 alone, the only row the head and so the loss read; the logits
-    are the same. A ``counter`` tallies the products that actually run.
+    The last layer computes queries, attention output and feed-forward block
+    for position 0 alone, the only row the head reads: a ``counter`` tallies
+    ``estimators.live_flops`` per sequence. ``want_cache`` (a training step)
+    keeps what :func:`backward` reads.
     """
+    return _forward_batch(model, ids, counter, want_cache, every_position=False)
+
+
+def _forward_batch(model, ids, counter, want_cache, every_position):
     cfg = model.config
     w = model.weights
     ids = np.asarray(ids, dtype=np.int64)
@@ -237,7 +261,7 @@ def forward_batch(model: EncoderModel, ids: np.ndarray,
     layer_caches = []
     for i in range(cfg.layers):
         p = f"layer{i}."
-        xq = x[:, :1] if want_cache and i == cfg.layers - 1 else x
+        xq = x if every_position or i < cfg.layers - 1 else x[:, :1]
         r = xq.shape[1]
         q = matmul(xq, w[p + "q_w"], counter) + w[p + "q_b"]
         k = matmul(x, w[p + "k_w"], counter) + w[p + "k_b"]
@@ -279,9 +303,9 @@ def forward_batch(model: EncoderModel, ids: np.ndarray,
 
 
 def forward(model: EncoderModel, token_ids, counter: FlopCounter | None = None) -> np.ndarray:
-    """Logits for a single token-id sequence."""
+    """Logits for one sequence, every layer at every position: ``forward_flops``' work."""
     ids = np.asarray(token_ids, dtype=np.int64).reshape(1, -1)
-    logits, _ = forward_batch(model, ids, counter=counter)
+    logits, _ = _forward_batch(model, ids, counter, False, every_position=True)
     return logits[0]
 
 
@@ -309,15 +333,19 @@ def predict_logits(model: EncoderModel, seqs) -> np.ndarray:
     return logits
 
 
-def backward(model: EncoderModel, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients for every weight given d(loss)/d(logits)."""
+def backward(model: EncoderModel, cache: dict, dlogits: np.ndarray,
+             out: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Gradients for every weight given d(loss)/d(logits), as named views into
+    ``out``, a flat buffer laid out like ``model.flat`` (overwritten), or a new one."""
     cfg = model.config
     w = model.weights
     ids = cache["ids"]
     B, s = ids.shape
     A, dh = cfg.heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dh)
-    grads = {name: np.zeros_like(arr) for name, arr in w.items()}
+    out = np.empty_like(model.flat) if out is None else out
+    out.fill(0.0)
+    grads = _views(out, cfg)
 
     pooled = cache["pooled"]
     grads["cls_w"] += cache["pooled"].T @ dlogits
@@ -390,47 +418,53 @@ def backward(model: EncoderModel, cache: dict, dlogits: np.ndarray) -> dict[str,
 # optimizer
 
 
-@dataclass
-class TrainState:
-    model: EncoderModel
-    adam_m: dict[str, np.ndarray] = field(default_factory=dict)
-    adam_v: dict[str, np.ndarray] = field(default_factory=dict)
-    step: int = 0
-
-    def __post_init__(self):
-        if not self.adam_m:
-            self.adam_m = {k: np.zeros_like(v) for k, v in self.model.weights.items()}
-            self.adam_v = {k: np.zeros_like(v) for k, v in self.model.weights.items()}
-
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_CHUNK = 32768  # elements: six buffers' chunks (1.5 MB) stay in cache, a teacher's do not
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+@dataclass
+class TrainState:
+    """Adam's moments, flat buffers laid out like ``model.flat``, and the update's scratch."""
+
+    model: EncoderModel
+    step: int = 0
+
+    def __post_init__(self):
+        self.adam_m = np.zeros_like(self.model.flat)
+        self.adam_v = np.zeros_like(self.model.flat)
+        self.scratch = np.empty((2, min(ADAM_CHUNK, self.model.flat.size)))
+
+
+def clip_global_norm(grad: np.ndarray, config: ArchConfig, max_norm: float) -> float:
+    """Scale the flat gradient so its L2 norm is at most max_norm. Squares are summed
+    tensor by tensor: once clipping fires, that order is part of the trajectory."""
+    total = np.sqrt(sum(float((g * g).sum()) for g in _views(grad, config).values()))
     if total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        grad *= max_norm / total
     return total
 
 
-def sgd_adam_step(state: TrainState, grads: dict[str, np.ndarray], lr: float) -> TrainState:
-    """In-place Adam update; returns the same state with step advanced by 1."""
+def sgd_adam_step(state: TrainState, grad: np.ndarray, lr: float) -> TrainState:
+    """In-place Adam update from the flat gradient ``grad``, ADAM_CHUNK elements
+    at a time; returns the same state with step advanced by 1."""
     t = state.step + 1
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for name, g in grads.items():
-        m = state.adam_m[name]
-        v = state.adam_v[name]
+    for start in range(0, grad.size, ADAM_CHUNK):
+        part = slice(start, start + ADAM_CHUNK)
+        g, m, v = grad[part], state.adam_m[part], state.adam_v[part]
+        update, denom = state.scratch[:, :g.size]
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=update)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        state.model.weights[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        v += np.multiply(np.multiply(g, g, out=denom), 1.0 - ADAM_BETA2, out=denom)
+        # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
+        np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+        denom += ADAM_EPS
+        np.multiply(np.divide(m, bc1, out=update), lr, out=update)
+        state.model.flat[part] -= np.divide(update, denom, out=update)
     state.step = t
     return state
 
@@ -464,6 +498,7 @@ def train_loop(model: EncoderModel, rng: np.random.Generator, seqs,
     gradient with respect to the logits.
     """
     state = TrainState(model)
+    grad = np.empty_like(model.flat)  # reused by every step
     lengths = [len(ids) for ids in seqs]
     epoch_losses = []
     for _ in range(params.epochs):
@@ -478,34 +513,32 @@ def train_loop(model: EncoderModel, rng: np.random.Generator, seqs,
                 raise FloatingPointError(
                     f"training diverged: loss={loss / len(batch)} at step {state.step}")
             total += loss
-            grads = backward(model, cache, dlogits / len(batch))
+            backward(model, cache, dlogits / len(batch), out=grad)
             if params.max_grad_norm is not None:
-                clip_global_norm(grads, params.max_grad_norm)
-            sgd_adam_step(state, grads, params.learning_rate)
+                clip_global_norm(grad, model.config, params.max_grad_norm)
+            sgd_adam_step(state, grad, params.learning_rate)
         epoch_losses.append(total / len(seqs))
     return epoch_losses
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container: JSON header line + concatenated fp32 LE payloads;
+# checkpoint container: JSON header line + the flat buffer as fp32 LE;
 # the header holds the vocab map as sorted [from, to] pairs when there is one
 
 _MAGIC = b"ENCKPT1\n"
 
 
 def save_checkpoint(model: EncoderModel, path) -> None:
-    names = weight_names(model.config)
     header = {
         "config": model.config.to_dict(),
-        "tensors": [{"name": n, "shape": list(model.weights[n].shape)} for n in names],
+        "tensors": [{"name": n, "shape": list(shape)} for n, shape, *_ in _layout(model.config)],
     }
     if model.vocab_map is not None:
         header["vocab_map"] = sorted([int(k), int(v)] for k, v in model.vocab_map.items())
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(json.dumps(header).encode() + b"\n")
-        for n in names:
-            fh.write(model.weights[n].astype("<f4").tobytes(order="C"))
+        fh.write(model.flat.astype("<f4"))
 
 
 def read_artifact(path, parse):
@@ -534,15 +567,13 @@ def load_checkpoint(path) -> EncoderModel:
             vocab_map = dict(vocab_map)
             if not all(type(i) is int for i in (*vocab_map, *vocab_map.values())):
                 raise ValueError("vocab map entries must be pairs of integers")
-        expected = [(name, _weight_shape(name, config)) for name in weight_names(config)]
-        if tensors != expected:
+        layout = _layout(config)
+        if tensors != [(name, shape) for name, shape, *_ in layout]:
             raise ValueError("header tensors do not match its config")
-        sizes = [int(np.prod(shape)) for _, shape in expected]
-        if len(raw) - end - 1 != 4 * sum(sizes):
+        size = layout[-1][-1]
+        if len(raw) - end - 1 != 4 * size:
             raise ValueError(f"payload is {len(raw) - end - 1} bytes, "
-                             f"its tensors need {4 * sum(sizes)}")
+                             f"its tensors need {4 * size}")
         flat = np.frombuffer(raw, dtype="<f4", offset=end + 1).astype(np.float64)
-        chunks = np.split(flat, np.cumsum(sizes)[:-1])
-        weights = {name: chunk.reshape(shape) for (name, shape), chunk in zip(expected, chunks)}
-        return EncoderModel(config, weights, vocab_map)
+        return EncoderModel(config, flat, vocab_map)
     return read_artifact(path, parse)

@@ -62,6 +62,13 @@ class TestInit:
             elif base.endswith("_b"):
                 assert np.all(w == 0.0)
 
+    def test_weights_are_views_of_one_buffer(self, tmp_path):
+        model = nn.init(TINY, 0)
+        nn.save_checkpoint(model, tmp_path / "m.ckpt")
+        for m in (model, nn.load_checkpoint(tmp_path / "m.ckpt")):
+            assert m.flat.shape == (estimators.param_count(TINY),)
+            assert all(np.shares_memory(w, m.flat) for w in m.weights.values())
+
     def test_misaligned_heads_rejected(self):
         with pytest.raises(ValueError):
             ArchConfig(layers=1, hidden=10, heads=4, ffn=8, vocab=10)
@@ -229,6 +236,18 @@ class TestBackward:
         for name in g1:
             assert np.allclose(2.0 * g1[name], g2[name], rtol=1e-12, atol=1e-12)
 
+    def test_reused_gradient_buffer_is_overwritten(self):
+        # train_loop hands backward the previous step's buffer
+        model = nn.init(TINY, 6)
+        logits, cache = nn.forward_batch(model, np.array([[1, 2, 3], [4, 5, 6]]), want_cache=True)
+        dl = np.random.default_rng(6).normal(size=logits.shape)
+        fresh = nn.backward(model, cache, dl)
+        out = np.full_like(model.flat, np.nan)
+        reused = nn.backward(model, cache, dl, out=out)
+        for name in fresh:
+            assert np.shares_memory(reused[name], out)
+            assert np.array_equal(reused[name], fresh[name])
+
     def test_gelu_from_cached_normal_cdf_is_exact(self):
         # inference computes GELU(u) in place; a training pass caches Phi(u) and
         # backward rebuilds GELU(u) = u * Phi(u): both equal the formula bit for bit
@@ -245,7 +264,7 @@ class TestAdam:
         model = nn.init(TINY, 0)
         before = {k: v.copy() for k, v in model.weights.items()}
         state = nn.TrainState(model)
-        zeros = {k: np.zeros_like(v) for k, v in model.weights.items()}
+        zeros = np.zeros_like(model.flat)
         nn.sgd_adam_step(state, zeros, lr=0.1)
         assert state.step == 1
         for name in before:
@@ -259,7 +278,7 @@ class TestAdam:
             state = nn.TrainState(model)
             if grads is None:
                 rng = np.random.default_rng(9)
-                grads = {k: rng.normal(size=v.shape) for k, v in model.weights.items()}
+                grads = rng.normal(size=model.flat.shape)
             nn.sgd_adam_step(state, grads, lr=1e-3)
             results.append({k: v.copy() for k, v in state.model.weights.items()})
         for name in results[0]:
@@ -269,7 +288,7 @@ class TestAdam:
         model = nn.init(TINY, 4)
         before = {k: v.copy() for k, v in model.weights.items()}
         state = nn.TrainState(model)
-        grads = {k: np.full_like(v, 0.5) for k, v in model.weights.items()}
+        grads = np.full_like(model.flat, 0.5)
         lr = 1e-2
         nn.sgd_adam_step(state, grads, lr)
         for name in before:
@@ -279,7 +298,7 @@ class TestAdam:
     def test_step_counter_strictly_increments(self):
         model = nn.init(TINY, 5)
         state = nn.TrainState(model)
-        grads = {k: np.zeros_like(v) for k, v in model.weights.items()}
+        grads = np.zeros_like(model.flat)
         for expected in (1, 2, 3):
             nn.sgd_adam_step(state, grads, 1e-3)
             assert state.step == expected
