@@ -155,8 +155,11 @@ def cmd_capture(args) -> dict:
     dataset = distill_mod.capture_teacher_logits(teacher, data.unlabeled,
                                                  strict=not args.lenient)
     dataset.save(out / "logits.ldst")
+    skipped = len(data.unlabeled) - len(dataset)  # none unless --lenient
+    if skipped:
+        print(f"capture: skipped {skipped} invalid sequences")
     print(f"captured {len(dataset)} teacher logit records")
-    return {"count": len(dataset), "num_classes": dataset.num_classes,
+    return {"count": len(dataset), "skipped": skipped, "num_classes": dataset.num_classes,
             "corpus_seed": data.spec.rng_seed, "artifacts": {"logits": str(out / "logits.ldst")}}
 
 
@@ -230,12 +233,12 @@ def cmd_bench(args) -> dict:
             seqs = [distill_mod.apply_vocab_map(ids, model.vocab_map)[: model.config.max_seq_len]
                     for ids in sample]
             means = _bench_model(model, seqs, args.repeats)
-            flops = estimators.forward_flops(
-                model.config, min(args.seq_len, model.config.max_seq_len)).flops
+            seq_len = min(args.seq_len, model.config.max_seq_len)
             results[path.name] = {
                 "per_repeat_mean_s": means,
                 "grand_mean_s": float(np.mean(means)),
-                "flops_at_seq_len": flops,
+                "flops_at_seq_len": estimators.forward_flops(model.config, seq_len).flops,
+                "live_flops_at_seq_len": estimators.live_flops(model.config, seq_len).flops,
             }
             print(f"{path.name}: mean {np.mean(means) * 1e3:.3f} ms over "
                   f"{len(seqs)} examples x {args.repeats} repeats")

@@ -105,10 +105,7 @@ def capture_teacher_logits(teacher: EncoderModel, unlabeled,
     Unless ``strict``, sequences the teacher rejects are skipped."""
     seqs = [list(map(int, ids)) for ids in unlabeled]
     if not strict:
-        kept = [ids for ids in seqs if _valid(teacher.config, ids)]
-        if len(kept) < len(seqs):
-            print(f"capture: skipped {len(seqs) - len(kept)} invalid sequences")
-        seqs = kept
+        seqs = [ids for ids in seqs if _valid(teacher.config, ids)]
     logits = nn.predict_logits(teacher, seqs)
     return LogitDataset([LogitRecord(ids, row) for ids, row in zip(seqs, logits)],
                         num_classes=teacher.config.num_classes)

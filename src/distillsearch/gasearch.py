@@ -123,6 +123,7 @@ class GaResult:
             "regret": self.optimum_fitness - self.best_fitness,
             "size_mb": estimators.model_size(cfg).megabytes,
             "gflops": flops.gflops,
+            "live_gflops": estimators.live_flops(cfg, flops.seq_len).gflops,
             "history": self.history,
             "median_history": self.median_history,
             "distinct_history": self.distinct_history,

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import distillsearch
 
-from distillsearch import cli, corpus, distill, nn
+from distillsearch import cli, corpus, distill, estimators, nn
 from distillsearch.archspace import ArchConfig
 from distillsearch.cli import main
 
@@ -80,6 +80,8 @@ class TestSearch:
         result = json.loads((tmp_path / "ga_result.json").read_text())
         assert 2.8 <= result["size_mb"] <= 3.2
         assert result["seed"] == 0
+        config = ArchConfig.from_dict(result["best"])
+        assert result["live_gflops"] == estimators.live_flops(config, 400).gflops
         arch = json.loads((tmp_path / "arch.json").read_text())
         assert set(arch) == {"layers", "hidden", "heads", "ffn", "vocab",
                              "max_seq_len", "num_classes"}
@@ -148,6 +150,19 @@ class TestPipelineCommands:
         data = distill.LogitDataset.load(out / "logits.ldst")
         assert len(data) == 300
 
+    def test_lenient_capture_reports_skipped(self, small_corpus_dir, capsys):
+        out = small_corpus_dir
+        nn.save_checkpoint(nn.init(TINY_TEACHER, 0), out / "teacher.ckpt")
+        path = out / "unlabeled.jsonl"
+        lines = path.read_text().splitlines()
+        lines[0] = json.dumps({"ids": [1] * (TINY_TEACHER.max_seq_len + 1)})
+        path.write_text("\n".join(lines) + "\n")
+        assert run(out, "capture") == 2
+        assert run(out, "capture", "--lenient") == 0
+        report = json.loads((out / "report.json").read_text())["capture"]
+        assert (report["count"], report["skipped"]) == (299, 1)
+        assert "skipped 1 invalid sequences" in capsys.readouterr().out
+
 
 class TestBench:
     def test_protocol_shape(self, small_corpus_dir):
@@ -162,6 +177,7 @@ class TestBench:
         assert report["repeats"] == 3
         for model in report["models"].values():
             assert len(model["per_repeat_mean_s"]) == 3
+            assert 0 < model["live_flops_at_seq_len"] < model["flops_at_seq_len"]
         assert "latency_ratio" in report
 
     def test_missing_checkpoint_exit_3(self, small_corpus_dir):
