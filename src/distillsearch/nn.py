@@ -421,7 +421,7 @@ def backward(model: EncoderModel, cache: dict, dlogits: np.ndarray,
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-ADAM_CHUNK = 32768  # elements: six buffers' chunks (1.5 MB) stay in cache, a teacher's do not
+ADAM_CHUNK = 32768  # elements: this much of each of the update's six buffers stays in cache
 
 
 @dataclass
@@ -460,7 +460,7 @@ def sgd_adam_step(state: TrainState, grad: np.ndarray, lr: float) -> TrainState:
         m += np.multiply(g, 1.0 - ADAM_BETA1, out=update)
         v *= ADAM_BETA2
         v += np.multiply(np.multiply(g, g, out=denom), 1.0 - ADAM_BETA2, out=denom)
-        # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
+        # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps), operation for operation, bit for bit
         np.sqrt(np.divide(v, bc2, out=denom), out=denom)
         denom += ADAM_EPS
         np.multiply(np.divide(m, bc1, out=update), lr, out=update)

@@ -68,23 +68,6 @@ class TestForwardFlops:
         nn.forward(model, list(range(seq_len)), counter=counter)
         assert counter.flops == forward_flops(cfg, seq_len).flops
 
-    @pytest.mark.parametrize("cfg", TINY_CONFIGS)
-    def test_batched_passes_count_live_flops(self, cfg, monkeypatch):
-        # predict_logits's batches and a training pass run the last layer at position 0
-        model = nn.init(cfg, 0)
-        lengths = [min(n, cfg.max_seq_len) for n in (1, 3, 3, 4)]
-        counter = nn.FlopCounter()
-        batch_pass = nn.forward_batch
-        monkeypatch.setattr(nn, "forward_batch",
-                            lambda model, ids: batch_pass(model, ids, counter=counter))
-        nn.predict_logits(model, [[1] * n for n in lengths])
-        assert counter.flops == sum(live_flops(cfg, n).flops for n in lengths)
-
-        counter = nn.FlopCounter()
-        batch_pass(model, np.ones((3, lengths[-1]), dtype=int), counter=counter, want_cache=True)
-        assert counter.flops == 3 * live_flops(cfg, lengths[-1]).flops
-        assert live_flops(cfg, 1) == forward_flops(cfg, 1)
-
     def test_linear_in_layers(self):
         def flops(L):
             return forward_flops(
@@ -122,3 +105,22 @@ class TestForwardFlops:
     def test_gflops_scaling(self):
         est = forward_flops(TINY_CONFIGS[0], 8)
         assert est.gflops == est.flops / 1e9
+
+
+class TestLiveFlops:
+    @pytest.mark.parametrize("cfg", TINY_CONFIGS)
+    def test_batched_passes_count_live_flops(self, cfg, monkeypatch):
+        # predict_logits's batches and a training pass run the last layer at position 0
+        model = nn.init(cfg, 0)
+        lengths = [min(n, cfg.max_seq_len) for n in (1, 3, 3, 4)]
+        counter = nn.FlopCounter()
+        batch_pass = nn.forward_batch
+        monkeypatch.setattr(nn, "forward_batch",
+                            lambda model, ids: batch_pass(model, ids, counter=counter))
+        nn.predict_logits(model, [[1] * n for n in lengths])
+        assert counter.flops == sum(live_flops(cfg, n).flops for n in lengths)
+
+        counter = nn.FlopCounter()
+        batch_pass(model, np.ones((3, lengths[-1]), dtype=int), counter=counter, want_cache=True)
+        assert counter.flops == 3 * live_flops(cfg, lengths[-1]).flops
+        assert live_flops(cfg, 1) == forward_flops(cfg, 1)
