@@ -16,6 +16,14 @@ head. All math is fp64 so finite-difference gradient checks are tight;
 checkpoints store fp32. Weights are views into one flat buffer, as are
 gradients. Every artifact, checkpoint or not, loads through
 :func:`read_artifact`, which names the file of any malformed content.
+
+A batched pass keeps alive only what the next operation or :func:`backward`
+reads. Each attention and feed-forward sub-block, forward and backward,
+runs in a helper of its own, so its temporaries are freed when it returns:
+an inference pass holds at most one (batch, seq, ffn) array and a few
+(batch, seq, hidden) ones. Bias and residual adds, layer norm, softmax and
+GELU's gradient work in place, each step the same operation on the same
+operands as the plain expression, so no bit moves.
 """
 
 from __future__ import annotations
@@ -153,26 +161,36 @@ def init(config: ArchConfig, rng: np.random.Generator | int) -> EncoderModel:
 
 
 def _layer_norm_fwd(x, g, b):
+    """Layer norm over the last axis: ``(g * xhat + b, (xhat, inv, g))``. ``x`` is
+    overwritten and becomes ``xhat``; each step is the textbook expression's own
+    operation, done in place, so every bit is the same."""
     mu = x.mean(-1, keepdims=True)
-    xc = x - mu
+    xc = np.subtract(x, mu, out=x)
     var = (xc * xc).mean(-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv, g)
+    var += LN_EPS
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    xhat = np.multiply(xc, inv, out=xc)
+    y = g * xhat
+    y += b
+    return y, (xhat, inv, g)
 
 
 def _layer_norm_bwd(dy, cache):
+    """(dx, dg, db) of :func:`_layer_norm_fwd` given ``dy``, which is overwritten
+    and becomes ``dx``: inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+    with dxhat = dy * g, step for step."""
     xhat, inv, g = cache
     axes = tuple(range(dy.ndim - 1))
-    dg = (dy * xhat).sum(axis=axes)
+    t = dy * xhat
+    dg = t.sum(axis=axes)
     db = dy.sum(axis=axes)
-    dxhat = dy * g
-    dx = inv * (
-        dxhat
-        - dxhat.mean(-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(-1, keepdims=True)
-    )
-    return dx, dg, db
+    dxhat = np.multiply(dy, g, out=dy)
+    np.multiply(dxhat, xhat, out=t)
+    np.multiply(xhat, t.mean(-1, keepdims=True), out=t)
+    dxhat -= dxhat.mean(-1, keepdims=True)
+    dxhat -= t
+    dxhat *= inv
+    return dxhat, dg, db
 
 
 def _gelu(x, out=None):
@@ -197,14 +215,23 @@ def _normal_cdf(x):
 
 
 def _gelu_grad(x, phi):
-    """d GELU / dx from x and its cached ``phi`` = :func:`_normal_cdf` (x)."""
-    return phi + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    """d GELU / dx = phi + x * exp(-x^2 / 2) / sqrt(2 pi) from x and its cached
+    ``phi`` = :func:`_normal_cdf` (x), in one new array."""
+    t = np.multiply(-0.5, x)
+    t *= x
+    np.exp(t, out=t)
+    t *= x
+    t /= np.sqrt(2.0 * np.pi)
+    t += phi
+    return t
 
 
-def softmax(x):
-    z = x - x.max(-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(-1, keepdims=True)
+def softmax(x, out=None):
+    """Softmax over the last axis, into ``out`` (which may be ``x``) or a new array."""
+    z = np.subtract(x, x.max(-1, keepdims=True), out=out)
+    np.exp(z, out=z)
+    z /= z.sum(-1, keepdims=True)
+    return z
 
 
 def log_softmax(x):
@@ -251,55 +278,75 @@ def _forward_batch(model, ids, counter, want_cache, every_position):
     w = model.weights
     ids = np.asarray(ids, dtype=np.int64)
     check_inputs(cfg, ids)
-    B, s = ids.shape
-    A, dh = cfg.heads, cfg.head_dim
-    scale = 1.0 / np.sqrt(dh)
-
-    emb = w["tok_emb"][ids] + w["pos_emb"][:s]
-    x, emb_ln_cache = _layer_norm_fwd(emb, w["emb_ln_g"], w["emb_ln_b"])
-
-    layer_caches = []
+    s = ids.shape[1]
+    cache = dict(ids=ids, layers=[]) if want_cache else None
+    x = _add_norm(w["tok_emb"][ids], w["pos_emb"][:s], w, "emb_ln", cache, "emb_ln")
     for i in range(cfg.layers):
         p = f"layer{i}."
-        xq = x if every_position or i < cfg.layers - 1 else x[:, :1]
-        r = xq.shape[1]
-        q = matmul(xq, w[p + "q_w"], counter) + w[p + "q_b"]
-        k = matmul(x, w[p + "k_w"], counter) + w[p + "k_b"]
-        v = matmul(x, w[p + "v_w"], counter) + w[p + "v_b"]
-        qh = q.reshape(B, r, A, dh).transpose(0, 2, 1, 3)
-        kh = k.reshape(B, s, A, dh).transpose(0, 2, 1, 3)
-        vh = v.reshape(B, s, A, dh).transpose(0, 2, 1, 3)
-        scores = matmul(qh, kh.transpose(0, 1, 3, 2), counter) * scale
-        probs = softmax(scores)
-        ctx_h = matmul(probs, vh, counter)
-        ctx = ctx_h.transpose(0, 2, 1, 3).reshape(B, r, cfg.hidden)
-        attn_out = matmul(ctx, w[p + "o_w"], counter) + w[p + "o_b"]
-        x1, ln1_cache = _layer_norm_fwd(xq + attn_out, w[p + "attn_ln_g"], w[p + "attn_ln_b"])
-        u = matmul(x1, w[p + "ffn_up_w"], counter)
-        u += w[p + "ffn_up_b"]
-        if want_cache:  # backward reads u and Phi(u); GELU(u) lives only for the product
-            phi = _normal_cdf(u)
-            f = matmul(u * phi, w[p + "ffn_down_w"], counter) + w[p + "ffn_down_b"]
-        else:
-            f = matmul(_gelu(u, out=u), w[p + "ffn_down_w"], counter) + w[p + "ffn_down_b"]
-        x2, ln2_cache = _layer_norm_fwd(x1 + f, w[p + "ffn_ln_g"], w[p + "ffn_ln_b"])
-        if want_cache:
-            layer_caches.append(
-                dict(x=x, xq=xq, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx,
-                     ln1=ln1_cache, x1=x1, u=u, phi=phi, ln2=ln2_cache)
-            )
-        x = x2
+        keep = None if cache is None else {}
+        r = s if every_position or i < cfg.layers - 1 else 1
+        x = _add_norm(_attention(x, r, w, p, cfg.heads, counter, keep), x[:, :r],
+                      w, p + "attn_ln", keep, "ln1")
+        x = _add_norm(_ffn(x, w, p, counter, keep), x, w, p + "ffn_ln", keep, "ln2")
+        if cache is not None:
+            cache["layers"].append(keep)
 
     first = x[:, 0, :]
-    pre_pool = matmul(first, w["pooler_w"], counter) + w["pooler_b"]
-    pooled = np.tanh(pre_pool)
-    logits = matmul(pooled, w["cls_w"], counter) + w["cls_b"]
-
-    cache = None
-    if want_cache:
-        cache = dict(ids=ids, emb_ln=emb_ln_cache, layers=layer_caches,
-                     first=first, pooled=pooled, enc_out=x)
+    pooled = np.tanh(_linear(first, w, "pooler", counter))
+    logits = _linear(pooled, w, "cls", counter)
+    if cache is not None:
+        cache.update(first=first, pooled=pooled, enc_out=x)
     return logits, cache
+
+
+def _linear(x, w, name, counter):
+    """``x @ w[name_w] + w[name_b]``, the bias added in place."""
+    y = matmul(x, w[name + "_w"], counter)
+    y += w[name + "_b"]
+    return y
+
+
+def _add_norm(a, res, w, ln, keep, key):
+    """Layer norm ``ln`` of ``a + res``, summed into ``a``; a training pass keeps
+    the norm's cache in ``keep[key]``."""
+    a += res
+    y, ln_cache = _layer_norm_fwd(a, w[ln + "_g"], w[ln + "_b"])
+    if keep is not None:
+        keep[key] = ln_cache
+    return y
+
+
+def _attention(x, r, w, p, heads, counter, keep):
+    """Self-attention output, before the residual, of the first ``r`` positions
+    of ``x`` over all of them."""
+    B, s, h = x.shape
+    dh = h // heads
+    xq = x[:, :r]
+    q = _linear(xq, w, p + "q", counter)
+    k = _linear(x, w, p + "k", counter)
+    v = _linear(x, w, p + "v", counter)
+    qh = q.reshape(B, r, heads, dh).transpose(0, 2, 1, 3)
+    kh = k.reshape(B, s, heads, dh).transpose(0, 2, 1, 3)
+    vh = v.reshape(B, s, heads, dh).transpose(0, 2, 1, 3)
+    scores = matmul(qh, kh.transpose(0, 1, 3, 2), counter)
+    scores *= 1.0 / np.sqrt(dh)
+    probs = softmax(scores, out=scores)
+    ctx = matmul(probs, vh, counter).transpose(0, 2, 1, 3).reshape(B, r, h)
+    if keep is not None:
+        keep.update(x=x, xq=xq, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx)
+    return _linear(ctx, w, p + "o", counter)
+
+
+def _ffn(x1, w, p, counter, keep):
+    """Feed-forward output of ``x1``, before the residual."""
+    u = _linear(x1, w, p + "ffn_up", counter)
+    if keep is None:
+        g = _gelu(u, out=u)
+    else:  # backward reads u and Phi(u); GELU(u) lives only for the product
+        phi = _normal_cdf(u)
+        keep.update(x1=x1, u=u, phi=phi)
+        g = u * phi
+    return _linear(g, w, p + "ffn_down", counter)
 
 
 def forward(model: EncoderModel, token_ids, counter: FlopCounter | None = None) -> np.ndarray:
@@ -340,78 +387,86 @@ def backward(model: EncoderModel, cache: dict, dlogits: np.ndarray,
     cfg = model.config
     w = model.weights
     ids = cache["ids"]
-    B, s = ids.shape
-    A, dh = cfg.heads, cfg.head_dim
-    scale = 1.0 / np.sqrt(dh)
     out = np.empty_like(model.flat) if out is None else out
     out.fill(0.0)
     grads = _views(out, cfg)
 
     pooled = cache["pooled"]
-    grads["cls_w"] += cache["pooled"].T @ dlogits
-    grads["cls_b"] += dlogits.sum(0)
-    dpooled = dlogits @ w["cls_w"].T
+    dpooled = _linear_backward(pooled, dlogits, w, "cls", grads)
     dpre_pool = dpooled * (1.0 - pooled * pooled)
-    grads["pooler_w"] += cache["first"].T @ dpre_pool
-    grads["pooler_b"] += dpre_pool.sum(0)
-    dfirst = dpre_pool @ w["pooler_w"].T
+    dfirst = _linear_backward(cache["first"], dpre_pool, w, "pooler", grads)
 
     dx = np.zeros_like(cache["enc_out"])
     dx[:, 0, :] = dfirst
-
     for i in reversed(range(cfg.layers)):
-        p = f"layer{i}."
-        lc = cache["layers"][i]
-        dres2, dg, db = _layer_norm_bwd(dx, lc["ln2"])
-        grads[p + "ffn_ln_g"] += dg
-        grads[p + "ffn_ln_b"] += db
-        df = dres2
-        u, phi = lc["u"], lc["phi"]
-        grads[p + "ffn_down_w"] += (u * phi).reshape(-1, cfg.ffn).T @ df.reshape(-1, cfg.hidden)
-        grads[p + "ffn_down_b"] += df.sum((0, 1))
-        da = df @ w[p + "ffn_down_w"].T
-        du = da * _gelu_grad(u, phi)
-        grads[p + "ffn_up_w"] += lc["x1"].reshape(-1, cfg.hidden).T @ du.reshape(-1, cfg.ffn)
-        grads[p + "ffn_up_b"] += du.sum((0, 1))
-        dx1 = dres2 + du @ w[p + "ffn_up_w"].T
+        p, lc = f"layer{i}.", cache["layers"][i]
+        dx = _ffn_backward(dx, lc, w, p, grads)
+        dx = _attention_backward(dx, lc, w, p, cfg.heads, grads)
 
-        dres1, dg, db = _layer_norm_bwd(dx1, lc["ln1"])
-        grads[p + "attn_ln_g"] += dg
-        grads[p + "attn_ln_b"] += db
-        dattn_out = dres1
-        grads[p + "o_w"] += lc["ctx"].reshape(-1, cfg.hidden).T @ dattn_out.reshape(-1, cfg.hidden)
-        grads[p + "o_b"] += dattn_out.sum((0, 1))
-        dctx = dattn_out @ w[p + "o_w"].T
-        r = lc["xq"].shape[1]  # 1 in the last layer (see forward_batch)
-        dctx_h = dctx.reshape(B, r, A, dh).transpose(0, 2, 1, 3)
-        dprobs = dctx_h @ lc["vh"].transpose(0, 1, 3, 2)
-        dvh = lc["probs"].transpose(0, 1, 3, 2) @ dctx_h
-        probs = lc["probs"]
-        dscores = probs * (dprobs - (dprobs * probs).sum(-1, keepdims=True))
-        dscores *= scale
-        dqh = dscores @ lc["kh"]
-        dkh = dscores.transpose(0, 1, 3, 2) @ lc["qh"]
-        dq = dqh.transpose(0, 2, 1, 3).reshape(B, r, cfg.hidden)
-        dk = dkh.transpose(0, 2, 1, 3).reshape(B, s, cfg.hidden)
-        dv = dvh.transpose(0, 2, 1, 3).reshape(B, s, cfg.hidden)
-        flat = lc["x"].reshape(-1, cfg.hidden)
-        grads[p + "q_w"] += lc["xq"].reshape(-1, cfg.hidden).T @ dq.reshape(-1, cfg.hidden)
-        grads[p + "q_b"] += dq.sum((0, 1))
-        grads[p + "k_w"] += flat.T @ dk.reshape(-1, cfg.hidden)
-        grads[p + "k_b"] += dk.sum((0, 1))
-        grads[p + "v_w"] += flat.T @ dv.reshape(-1, cfg.hidden)
-        grads[p + "v_b"] += dv.sum((0, 1))
-        dx = dres1 + dq @ w[p + "q_w"].T
-        if r < s:
-            dx = np.concatenate([dx, np.zeros((B, s - r, cfg.hidden))], axis=1)
-        dx = dx + dk @ w[p + "k_w"].T + dv @ w[p + "v_w"].T
-
-    demb, dg, db = _layer_norm_bwd(dx, cache["emb_ln"])
-    grads["emb_ln_g"] += dg
-    grads["emb_ln_b"] += db
+    demb = _add_norm_backward(dx, cache["emb_ln"], grads, "emb_ln")
     np.add.at(grads["tok_emb"], ids, demb)
-    grads["pos_emb"][:s] += demb.sum(0)
+    grads["pos_emb"][:ids.shape[1]] += demb.sum(0)
     return grads
+
+
+def _add_norm_backward(dy, ln_cache, grads, ln):
+    """Gradient into both summands of :func:`_add_norm` from ``dy`` (overwritten)
+    at its output; adds the norm's scale and shift gradients to ``grads``."""
+    dx, dg, db = _layer_norm_bwd(dy, ln_cache)
+    grads[ln + "_g"] += dg
+    grads[ln + "_b"] += db
+    return dx
+
+
+def _ffn_backward(dy, lc, w, p, grads):
+    """Gradient into the feed-forward sub-block from ``dy`` (overwritten) at the
+    output of its layer norm; adds the sub-block's weight gradients to ``grads``."""
+    dres = _add_norm_backward(dy, lc["ln2"], grads, p + "ffn_ln")
+    u, phi = lc["u"], lc["phi"]
+    h, d = dres.shape[-1], u.shape[-1]
+    # GELU(u) = u * Phi(u) again, freed before du is allocated
+    grads[p + "ffn_down_w"] += (u * phi).reshape(-1, d).T @ dres.reshape(-1, h)
+    grads[p + "ffn_down_b"] += dres.sum((0, 1))
+    du = dres @ w[p + "ffn_down_w"].T
+    du *= _gelu_grad(u, phi)
+    dx = _linear_backward(lc["x1"], du, w, p + "ffn_up", grads)
+    dx += dres
+    return dx
+
+
+def _attention_backward(dy, lc, w, p, heads, grads):
+    """Gradient into the attention sub-block from ``dy`` (overwritten) at the
+    output of its layer norm; adds the sub-block's weight gradients to ``grads``."""
+    dres = _add_norm_backward(dy, lc["ln1"], grads, p + "attn_ln")
+    x, xq, probs = lc["x"], lc["xq"], lc["probs"]
+    B, s, h = x.shape
+    r, dh = xq.shape[1], h // heads  # r is 1 in the last layer (see forward_batch)
+    dctx = _linear_backward(lc["ctx"], dres, w, p + "o", grads)
+    dctx_h = dctx.reshape(B, r, heads, dh).transpose(0, 2, 1, 3)
+    dvh = probs.transpose(0, 1, 3, 2) @ dctx_h
+    # dscores = probs * (dprobs - rowsum(dprobs * probs)) * scale, in the buffer of dprobs
+    dscores = dctx_h @ lc["vh"].transpose(0, 1, 3, 2)
+    dscores -= (dscores * probs).sum(-1, keepdims=True)
+    dscores *= probs
+    dscores *= 1.0 / np.sqrt(dh)
+    dq = (dscores @ lc["kh"]).transpose(0, 2, 1, 3).reshape(B, r, h)
+    dk = (dscores.transpose(0, 1, 3, 2) @ lc["qh"]).transpose(0, 2, 1, 3).reshape(B, s, h)
+    dv = dvh.transpose(0, 2, 1, 3).reshape(B, s, h)
+    dx = _linear_backward(xq, dq, w, p + "q", grads)
+    dx += dres
+    if r < s:
+        dx = np.concatenate([dx, np.zeros((B, s - r, h))], axis=1)
+    dx += _linear_backward(x, dk, w, p + "k", grads)
+    dx += _linear_backward(x, dv, w, p + "v", grads)
+    return dx
+
+
+def _linear_backward(x, dy, w, name, grads):
+    """Gradient into ``x`` of :func:`_linear` given ``dy`` at its output; adds the
+    weight and bias gradients to ``grads``."""
+    grads[name + "_w"] += x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+    grads[name + "_b"] += dy.sum(axis=tuple(range(dy.ndim - 1)))
+    return dy @ w[name + "_w"].T
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +550,11 @@ def train_loop(model: EncoderModel, rng: np.random.Generator, seqs,
     Every epoch shuffles ``seqs`` with ``rng`` and batches equal lengths
     together. ``loss_and_grad(batch, logits)`` gets the batch's indices into
     ``seqs`` and its logits, and returns the per-example loss and its
-    gradient with respect to the logits.
+    gradient with respect to the logits. Raises ValueError when there are
+    epochs to run but no sequences.
     """
+    if params.epochs and len(seqs) == 0:
+        raise ValueError("train_loop got no sequences to train on")
     state = TrainState(model)
     grad = np.empty_like(model.flat)  # reused by every step
     lengths = [len(ids) for ids in seqs]
@@ -514,6 +572,7 @@ def train_loop(model: EncoderModel, rng: np.random.Generator, seqs,
                     f"training diverged: loss={loss / len(batch)} at step {state.step}")
             total += loss
             backward(model, cache, dlogits / len(batch), out=grad)
+            del logits, cache  # the next step's forward builds a cache of its own
             if params.max_grad_norm is not None:
                 clip_global_norm(grad, model.config, params.max_grad_norm)
             sgd_adam_step(state, grad, params.learning_rate)

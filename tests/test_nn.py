@@ -1,11 +1,12 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distillsearch import distill, estimators, nn
+from distillsearch import cli, distill, estimators, nn
 from distillsearch.archspace import ArchConfig
 
 TINY = ArchConfig(layers=1, hidden=8, heads=2, ffn=16, vocab=20, max_seq_len=8)
@@ -176,6 +177,13 @@ class TestTrainLoop:
             nn.train_loop(model, np.random.default_rng(0), [[1, 2, 3]] * 4, loss_and_grad,
                           nn.TrainParams(epochs=1))
 
+    def test_no_sequences_rejected(self):
+        model = nn.init(TINY, 12)
+        with pytest.raises(ValueError, match="no sequences"):
+            nn.train_loop(model, np.random.default_rng(0), [], None, nn.TrainParams(epochs=1))
+        assert nn.train_loop(model, np.random.default_rng(0), [], None,
+                             nn.TrainParams(epochs=0)) == []
+
     @pytest.mark.parametrize("bad", [dict(batch_size=0), dict(epochs=-1)])
     def test_params_validated(self, bad):
         with pytest.raises(ValueError):
@@ -257,6 +265,112 @@ class TestBackward:
         reference = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
         assert np.array_equal(nn._gelu(x), reference)
         assert np.array_equal(x * nn._normal_cdf(x), reference)
+
+
+class TestKernelBits:
+    """Each in-place kernel against the expression it replaced, written out
+    here: the rewrite must not move a bit."""
+
+    SHAPES = [(1, 7, 16), (5, 7, 16)]
+
+    @staticmethod
+    def _data(shape, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(loc=0.5, scale=3.0, size=shape)
+        x[0, 0, :4] = [-40.0, 1e-300, 0.0, 40.0]
+        return rng, x
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_layer_norm(self, shape):
+        rng, x = self._data(shape, 20)
+        g, b = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        mu = x.mean(-1, keepdims=True)
+        xc = x - mu
+        var = (xc * xc).mean(-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + nn.LN_EPS)
+        xhat = xc * inv
+        y, (got_xhat, got_inv, got_g) = nn._layer_norm_fwd(x.copy(), g, b)
+        assert np.array_equal(y, g * xhat + b)
+        assert np.array_equal(got_xhat, xhat) and np.array_equal(got_inv, inv) and got_g is g
+
+        dy = rng.normal(size=shape)
+        axes = tuple(range(dy.ndim - 1))
+        dxhat = dy * g
+        dx = inv * (dxhat - dxhat.mean(-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(-1, keepdims=True))
+        got_dx, dg, db = nn._layer_norm_bwd(dy.copy(), (xhat, inv, g))
+        assert np.array_equal(got_dx, dx)
+        assert np.array_equal(dg, (dy * xhat).sum(axis=axes))
+        assert np.array_equal(db, dy.sum(axis=axes))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_softmax(self, shape):
+        _, x = self._data(shape, 21)
+        x[-1, -1, :] = 800.0  # exp would overflow without the row max
+        e = np.exp(x - x.max(-1, keepdims=True))
+        reference = e / e.sum(-1, keepdims=True)
+        assert np.array_equal(nn.softmax(x), reference)
+        assert np.array_equal(nn.softmax(x, out=x), reference)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gelu_grad(self, shape):
+        _, x = self._data(shape, 22)
+        phi = nn._normal_cdf(x)
+        reference = phi + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+        assert np.array_equal(nn._gelu_grad(x, phi), reference)
+
+
+def traced(fn, *args, **kwargs):
+    """``fn``'s result, the most bytes it held at once beyond what was live
+    before the call, and the bytes still held when it returned."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        current, peak = tracemalloc.get_traced_memory()
+        return result, peak - base, current - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """A batched pass of the default desk teacher holds one sub-block's
+    temporaries at a time, and a training step the cache of one pass."""
+
+    CFG = cli.DEFAULT_TEACHER
+
+    def test_inference_pass_holds_one_ffn_array_and_a_few_hidden_ones(self):
+        B, s = 64, 24
+        model = nn.init(self.CFG, 30)
+        ids = np.random.default_rng(30).integers(0, self.CFG.vocab, size=(B, s))
+        nn.forward_batch(model, ids[:1])  # the lazy import of erf, outside the trace
+        _, peak, _ = traced(nn.forward_batch, model, ids)
+        hidden = B * s * self.CFG.hidden * 8
+        ffn = B * s * self.CFG.ffn * 8
+        # the FFN holds its input, u and its output; attention holds x, q, k, v,
+        # the scores, the context and its output: never both sub-blocks at once
+        assert peak < ffn + 4 * hidden
+
+    def test_training_step_never_holds_two_caches(self):
+        B, s = 32, 24
+        model = nn.init(self.CFG, 31)
+        rng = np.random.default_rng(31)
+        seqs = rng.integers(0, self.CFG.vocab, size=(2 * B, s)).tolist()
+        nn.forward_batch(model, np.array(seqs[:1]))  # the lazy import of erf, outside the trace
+        (logits, cache), _, cache_bytes = traced(nn.forward_batch, model, np.array(seqs[:B]),
+                                                 want_cache=True)
+        grad = np.empty_like(model.flat)
+        _, backward_peak, _ = traced(nn.backward, model, cache, np.ones_like(logits), out=grad)
+        del logits, cache
+
+        def loss_and_grad(batch, logits):
+            return np.zeros(len(batch)), np.ones_like(logits)
+
+        params = nn.TrainParams(epochs=1, batch_size=B)
+        _, peak, _ = traced(nn.train_loop, model, rng, seqs, loss_and_grad, params)
+        grad_and_adam = 3 * model.flat.nbytes + 2 * nn.ADAM_CHUNK * 8
+        # one (B, s, hidden) array of slack for the batch's ids, logits and loss
+        assert peak < cache_bytes + backward_peak + grad_and_adam + B * s * self.CFG.hidden * 8
 
 
 class TestAdam:
