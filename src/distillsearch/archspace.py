@@ -98,9 +98,6 @@ class SearchSpace:
     ffn: GridRange
     vocab: GridRange
 
-    def __post_init__(self):  # a tuple, so a space hashes by value (gasearch caches by space)
-        object.__setattr__(self, "heads", tuple(self.heads))
-
     def grid_values(self, field: str) -> Sequence[int]:
         if field == "heads":
             return self.heads

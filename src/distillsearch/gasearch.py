@@ -26,11 +26,9 @@ structure of the fitness instead:
   copies of one individual.
 
 The loop reads each chromosome's repaired vocab, fitness and size gap
-from one table of the (layers, hidden, ffn) grid, scored as broadcast
-arrays; this is exact, as ``heads`` enters neither estimator and the
-repair sets ``vocab``. The table is built once per space and budget
-(target, fitness and maximum sequence lengths, classes) and shared,
-read-only, by every search on them. Its maximum is the exact optimum,
+from one table of the (layers, hidden, ffn) grid, scored up front as
+broadcast arrays; this is exact, as ``heads`` enters neither estimator
+and the repair sets ``vocab``. The table's maximum is the exact optimum,
 reported with the pick's regret. ``n_evaluations`` counts each initial
 chromosome and each child. Each generation records the survivors' best
 fitness (``history``), their median fitness and how many are distinct,
@@ -44,7 +42,6 @@ every call keeps every pick, history and population bit for bit.
 
 from __future__ import annotations
 
-import functools
 import statistics
 import time
 from dataclasses import dataclass
@@ -230,28 +227,6 @@ def _survivors(merged: list, params: GaParams) -> tuple[list, int]:
     return (distinct + ranked)[:n], min(len(distinct), n)
 
 
-@functools.lru_cache(maxsize=4)
-def _table(space: SearchSpace, target_size_mb: float, fitness_seq_len: int,
-           max_seq_len: int, num_classes: int):
-    """The repaired vocab, negated fitness and size gap of every (layers, hidden,
-    ffn) of ``space``, raveled and read-only, with the grid's shape and the best
-    fitness. Scored once on broadcast gene grids: heads enters neither estimator,
-    and 1 splits any width. Searches that share the space and these four values
-    share the table; the last four tables stay, 1.3 MB each on the default grid."""
-    params = GaParams(target_size_mb=target_size_mb, fitness_seq_len=fitness_seq_len,
-                      max_seq_len=max_seq_len, num_classes=num_classes)
-    layers, hidden, ffn = np.ix_(*(np.array(grid.values())
-                                   for grid in (space.layers, space.hidden, space.ffn)))
-    table = SimpleNamespace(layers=layers, hidden=hidden, heads=1, ffn=ffn, vocab=None,
-                            max_seq_len=max_seq_len, num_classes=num_classes)
-    vocab = table.vocab = _nearest_vocab(table, space, params)
-    fit, gap = _fitness_gap(table, params)
-    columns = vocab.ravel(), -fit.ravel(), gap.ravel()
-    for column in columns:
-        column.flags.writeable = False
-    return (*columns, fit.shape, float(fit.max()))
-
-
 def search(space: SearchSpace, params: GaParams) -> GaResult:
     """Run the full evolutionary loop; deterministic given the seed. Raises
     ValueError when even the smallest architecture in ``space`` is larger
@@ -266,12 +241,18 @@ def search(space: SearchSpace, params: GaParams) -> GaResult:
                          f"takes {floor_mb:.3f} MB")
     rng = np.random.default_rng(params.rng_seed)
     start = time.perf_counter()
-    vocab, rank, gap, shape, optimum = _table(space, params.target_size_mb,
-                                              params.fitness_seq_len, params.max_seq_len,
-                                              params.num_classes)
-    # a chromosome's table index is its (layers, hidden, ffn) in grid steps
+    # score every (layers, hidden, ffn) once, on broadcast gene grids; heads
+    # enters neither estimator, and 1 splits any width
     grids = space.layers, space.hidden, space.ffn
+    layers, hidden, ffn = np.ix_(*(np.array(grid.values()) for grid in grids))
+    table = SimpleNamespace(layers=layers, hidden=hidden, heads=1, ffn=ffn, vocab=None,
+                            max_seq_len=params.max_seq_len, num_classes=params.num_classes)
+    vocab = table.vocab = _nearest_vocab(table, space, params)
+    fit, gap = _fitness_gap(table, params)
+
+    # a chromosome's table index is its (layers, hidden, ffn) in grid steps
     lower, step = np.array([(grid.lower, grid.step) for grid in grids]).T
+    vocab, rank, gap = vocab.ravel(), -fit.ravel(), gap.ravel()
 
     def evaluate(chromosomes: list[Chromosome]) -> list[tuple[float, float, Chromosome]]:
         # columns in GENE_ORDER: layers, hidden, heads, ffn, vocab
@@ -279,7 +260,7 @@ def search(space: SearchSpace, params: GaParams) -> GaResult:
         split = genes[:, 1] % genes[:, 2]
         if split.any():  # raises for the first whose hidden does not split over heads
             chromosomes[split.argmax()].to_config(params.max_seq_len, params.num_classes)
-        at = np.ravel_multi_index(((genes[:, [0, 1, 3]] - lower) // step).T, shape)
+        at = np.ravel_multi_index(((genes[:, [0, 1, 3]] - lower) // step).T, fit.shape)
         genes[:, 4] = vocab[at]
         return list(zip(rank[at].tolist(), gap[at].tolist(),
                         map(Chromosome._make, genes.tolist())))
@@ -305,5 +286,5 @@ def search(space: SearchSpace, params: GaParams) -> GaResult:
     return GaResult(best=best, best_fitness=history[-1], history=history,
                     elapsed_seconds=time.perf_counter() - start, params=params,
                     n_evaluations=params.population_size + params.max_iter * params.child_size,
-                    optimum_fitness=optimum, population=[c for _, _, c in scored],
+                    optimum_fitness=float(fit.max()), population=[c for _, _, c in scored],
                     median_history=median_history, distinct_history=distinct_history)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distillsearch import estimators, gasearch
+from distillsearch import estimators
 from distillsearch.archspace import ArchConfig, GridRange, SearchSpace, default_table1, validate
 from distillsearch.gasearch import (
     Chromosome,
@@ -326,27 +325,6 @@ class TestOptimum:
         doc = res.to_dict()
         assert doc["optimum_fitness"] == best
         assert doc["regret"] == best - res.best_fitness >= 0
-
-    def test_table_is_shared_only_by_an_equal_space_and_budget(self):
-        params = GaParams(target_size_mb=0.408, fitness_seq_len=24, max_seq_len=32,
-                          population_size=4, max_iter=2, child_size=4)
-        replaced = dataclasses.replace(self.SMALL_SPACE, ffn=GridRange(32, 256, 32))
-        for space, p in [(self.SMALL_SPACE, params), (replaced, params),
-                         (self.SMALL_SPACE, dataclasses.replace(params, target_size_mb=2.0)),
-                         (self.SMALL_SPACE, dataclasses.replace(params, fitness_seq_len=16)),
-                         (self.SMALL_SPACE, dataclasses.replace(params, max_seq_len=64)),
-                         (self.SMALL_SPACE, dataclasses.replace(params, num_classes=5))]:
-            grid = [Chromosome(*genes) for genes in itertools.product(
-                *(space.grid_values(f) for f in ("layers", "hidden", "heads", "ffn", "vocab")))
-                    if genes[1] % genes[2] == 0]
-            assert search(space, p).optimum_fitness == max(fitness(c, p) for c in grid)
-        key = (0.408, 24, 32, 2)
-        table = gasearch._table(self.SMALL_SPACE, *key)
-        listed = SearchSpace(**{**vars(self.SMALL_SPACE), "heads": list(self.SMALL_SPACE.heads)})
-        assert gasearch._table(listed, *key) is table
-        assert table[3] == (3, 4, 4) and gasearch._table(replaced, *key)[3] == (3, 4, 8)
-        for column in table[:3]:
-            assert not column.flags.writeable
 
     def test_exact_optimum_at_3mb(self):
         # (11, 112, ., 32, 1000); the default seed-0 run stops 0.0485 short of it
