@@ -64,6 +64,21 @@ def _write_report(out: Path, doc: dict) -> None:
         tmp.unlink(missing_ok=True)  # gone after a replace; a failed write leaves none
 
 
+def _provenance() -> dict:
+    """What produced a run's bits: batched products round by BLAS kernel and thread
+    count. Versions come from package metadata, so scipy is not imported."""
+    from importlib import metadata
+    import platform
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(),
+            "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy"),
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "env": {name: os.environ.get(name) for name in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "OPENBLAS_CORETYPE")}}
+
+
 def _require(path: Path, produced_by: str) -> Path:
     if not path.exists():
         raise FileNotFoundError(f"missing artifact {path.name}: run `{produced_by}` first")
@@ -333,7 +348,8 @@ def main(argv=None) -> int:
         previous = _read_report(out)
         body = args.func(args)
         report = {"command": args.command, "seed": args.seed,
-                  "wall_time_s": time.perf_counter() - start, **body}
+                  "wall_time_s": time.perf_counter() - start,
+                  "provenance": _provenance(), **body}
         if args.command != "report":
             _write_report(out, {**previous, args.command: report})
     except tuple(EXIT_CODES) as exc:

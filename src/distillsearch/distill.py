@@ -57,7 +57,8 @@ class LogitDataset:
             fh.write(json.dumps(header) + "\n")
             for r in self.records:
                 fh.write(json.dumps({"ids": list(map(int, r.token_ids)),
-                                     "logits": [float(x) for x in r.teacher_logits]}) + "\n")
+                                     "logits": [float(x) for x in r.teacher_logits]},
+                                    allow_nan=False) + "\n")
 
     @classmethod
     def load(cls, path) -> "LogitDataset":
@@ -73,8 +74,11 @@ class LogitDataset:
 
 
 def _numbers(value) -> list:
-    if not (isinstance(value, list) and all(type(x) in (int, float) for x in value)):
-        raise ValueError(f"logits must be a list of numbers, got {value!r:.40}")
+    """``value`` if it is a list of finite numbers, as stored logits must be; else
+    ValueError. JSON's ``NaN`` and ``Infinity`` parse, and so does ``1e999``, as inf."""
+    if not (isinstance(value, list) and all(type(x) in (int, float) for x in value)
+            and np.isfinite(np.array(value, dtype=np.float64)).all()):
+        raise ValueError(f"logits must be a list of finite numbers, got {value!r:.40}")
     return value
 
 

@@ -24,6 +24,13 @@ an inference pass holds at most one (batch, seq, ffn) array and a few
 (batch, seq, hidden) ones. Bias and residual adds, layer norm, softmax and
 GELU's gradient work in place, each step the same operation on the same
 operands as the plain expression, so no bit moves.
+
+Every product of an activation with a 2-D weight, forward and backward, goes
+through :func:`matmul`, which runs it as one GEMM over all rows of the batch
+(B·s, or B in the last layer's live rows). numpy would run one small GEMM per
+sequence, and at the teacher's shapes the one large GEMM is faster. A GEMM's
+rounding depends on its row count and on the BLAS kernel, so a batched pass's
+bits depend on how many rows it holds; a single sequence's pass keeps its own.
 """
 
 from __future__ import annotations
@@ -61,9 +68,14 @@ class FlopCounter:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
+    """``a @ b``, tallied into ``counter``. A batch's product with a 2-D weight runs
+    as one GEMM over all rows of ``a``'s leading axes, where numpy would run one
+    small GEMM per sequence; a single sequence's product already is one GEMM."""
     if counter is not None:
         a_shape = a.shape if a.ndim >= 2 else (1, a.shape[0])
         counter.add_matmul(a_shape, b.shape)
+    if b.ndim == 2 and a.ndim == 3 and len(a) > 1:
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[-1])
     return a @ b
 
 
@@ -427,7 +439,7 @@ def _ffn_backward(dy, lc, w, p, grads):
     # GELU(u) = u * Phi(u) again, freed before du is allocated
     grads[p + "ffn_down_w"] += (u * phi).reshape(-1, d).T @ dres.reshape(-1, h)
     grads[p + "ffn_down_b"] += dres.sum((0, 1))
-    du = dres @ w[p + "ffn_down_w"].T
+    du = matmul(dres, w[p + "ffn_down_w"].T)
     du *= _gelu_grad(u, phi)
     dx = _linear_backward(lc["x1"], du, w, p + "ffn_up", grads)
     dx += dres
@@ -466,7 +478,7 @@ def _linear_backward(x, dy, w, name, grads):
     weight and bias gradients to ``grads``."""
     grads[name + "_w"] += x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
     grads[name + "_b"] += dy.sum(axis=tuple(range(dy.ndim - 1)))
-    return dy @ w[name + "_w"].T
+    return matmul(dy, w[name + "_w"].T)
 
 
 # ---------------------------------------------------------------------------
@@ -601,19 +613,19 @@ def save_checkpoint(model: EncoderModel, path) -> None:
 
 
 def read_artifact(path, parse):
-    """``parse(bytes of path)``, the one way every artifact loads: malformed content,
-    or a directory in the file's place, raises ValueError naming the path; a
-    missing file stays FileNotFoundError."""
+    """``parse(bytes of path)``, the one way every artifact loads: malformed content
+    (a number too large for a float among it), or a directory in the file's place,
+    raises ValueError naming the path; a missing file stays FileNotFoundError."""
     try:
         return parse(Path(path).read_bytes())
-    except (ValueError, KeyError, TypeError, IsADirectoryError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, IsADirectoryError) as exc:
         raise ValueError(f"{path}: {exc!r}") from exc
 
 
 def load_checkpoint(path) -> EncoderModel:
     """Read a checkpoint written by :func:`save_checkpoint`; raise ValueError
-    unless its header lists exactly the tensors its config implies and the
-    payload holds exactly their bytes."""
+    unless its header lists exactly the tensors its config implies, the
+    payload holds exactly their bytes and every weight is finite."""
     def parse(raw: bytes) -> EncoderModel:
         end = raw.find(b"\n", len(_MAGIC))
         if not raw.startswith(_MAGIC) or end < 0:
@@ -633,6 +645,11 @@ def load_checkpoint(path) -> EncoderModel:
         if len(raw) - end - 1 != 4 * size:
             raise ValueError(f"payload is {len(raw) - end - 1} bytes, "
                              f"its tensors need {4 * size}")
-        flat = np.frombuffer(raw, dtype="<f4", offset=end + 1).astype(np.float64)
-        return EncoderModel(config, flat, vocab_map)
+        payload = np.frombuffer(raw, dtype="<f4", offset=end + 1)
+        finite = np.isfinite(payload)
+        if not finite.all():
+            at = int(np.argmin(finite))
+            name = next(name for name, _, start, stop in layout if start <= at < stop)
+            raise ValueError(f"weight {name} holds a non-finite value, {payload[at]}")
+        return EncoderModel(config, payload.astype(np.float64), vocab_map)
     return read_artifact(path, parse)

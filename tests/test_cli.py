@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
 import distillsearch
@@ -366,6 +368,12 @@ class TestDamagedArtifacts:
          DISTILL, 2, "logits.ldst"),
         (lambda out: edit_line(out / "logits.ldst", 1, lambda d: d["logits"].__setitem__(0, "7")),
          DISTILL, 2, "logits.ldst"),
+        (lambda out: edit_line(out / "logits.ldst", 1,
+                               lambda d: d["logits"].__setitem__(0, float("nan"))),
+         DISTILL, 2, "logits.ldst"),
+        (lambda out: (out / "teacher.ckpt").write_bytes(  # the last weight is cls_b[-1]
+            (out / "teacher.ckpt").read_bytes()[:-4] + np.array([np.nan], "<f4").tobytes()),
+         DISTILL, 2, "teacher.ckpt"),
         (lambda out: edit_line(out / "student.ckpt", 1,
                                lambda d: d["vocab_map"][0].__setitem__(1, "7")),
          BENCH, 2, "student.ckpt"),
@@ -375,7 +383,8 @@ class TestDamagedArtifacts:
         (lambda out: (out / "arch.json").write_text("5"), DISTILL, 2, "arch.json"),
         (lambda out: (out / "test.jsonl").unlink(), ["capture"], 3, "test.jsonl"),
     ], ids=["ldst-header-without-count", "ldst-record-without-ids", "ldst-ids-int",
-            "ldst-logit-string", "vocab-map-entry-string",
+            "ldst-logit-string", "ldst-logit-nan", "teacher-weight-nan",
+            "vocab-map-entry-string",
             "spec-unknown-key", "test-record-without-label", "arch-holds-5",
             "test-split-missing"])
     def test_exit_code_names_the_file(self, damaged, capsys, damage, argv, code, name):
@@ -442,6 +451,22 @@ class TestRunExplainsItself:
         assert run(damaged, *BENCH, "--threads", "2") == 0
         assert calls == [("limit", 2), ("restore",)]
         assert report_entry(damaged, "bench")["threads"] == 2
+
+    def test_provenance_names_versions_blas_and_thread_settings(self, damaged, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert run(damaged, "capture") == 0
+        provenance = report_entry(damaged, "capture")["provenance"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert provenance == {
+            "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "env": {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+                    "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+                    "MKL_NUM_THREADS": None, "OPENBLAS_CORETYPE": "Haswell"}}
+        for command in ("teach", "distill", "bench"):
+            assert report_entry(damaged, command)["provenance"]["numpy"] == np.__version__
 
     @pytest.mark.parametrize("flag", [["--n", "0"], ["--repeats", "0"]])
     def test_bench_empty_sample_exit_2(self, damaged, flag):

@@ -169,6 +169,20 @@ class TestDatasetFile:
         with pytest.raises(ValueError):
             LogitDataset([], num_classes=2)
 
+    # JSON's NaN and Infinity parse, 1e999 parses as inf, a 400-digit int overflows a float
+    @pytest.mark.parametrize("logit", ["NaN", "Infinity", "-Infinity", "1e999", "1" * 400])
+    def test_nonfinite_logits_rejected_naming_the_file(self, tmp_path, logit):
+        path = tmp_path / "d.ldst"
+        LogitDataset([LogitRecord([1], np.array([0.0, 1.0]))], num_classes=2).save(path)
+        path.write_text(path.read_text().replace("0.0", logit))
+        with pytest.raises(ValueError, match="d.ldst"):
+            LogitDataset.load(path)
+
+    def test_nonfinite_logits_never_written(self, tmp_path):
+        data = LogitDataset([LogitRecord([1], np.array([np.nan, 1.0]))], num_classes=2)
+        with pytest.raises(ValueError):
+            data.save(tmp_path / "d.ldst")
+
 
 class TestDistillTrain:
     def _toy_dataset(self, teacher, n=64, seed=0):

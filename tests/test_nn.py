@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +152,47 @@ class TestPredictLogits:
         model = nn.init(TINY, 10)
         with pytest.raises(nn.InvalidInputError):
             nn.predict_logits(model, [[1, 2], list(range(9))])
+
+
+class TestOneGemmPerWeightProduct:
+    def test_each_weight_product_gets_all_rows_as_one_matrix(self, monkeypatch):
+        # spy on what the product inside nn.matmul receives: every 2-D weight, forward
+        # and backward, must meet one (rows, k) activation, never a (B, s, k) stack
+        cfg = ArchConfig(layers=2, hidden=8, heads=2, ffn=16, vocab=20, max_seq_len=8)
+        model = nn.init(cfg, 6)
+        B, s = 5, 7
+        ids = np.random.default_rng(6).integers(0, cfg.vocab, size=(B, s))
+        seen = []
+
+        class Spy(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                inputs = [np.asarray(x) for x in inputs]
+                if ufunc is np.matmul and inputs[1].ndim == 2:
+                    name = next(n for n, w in model.weights.items()
+                                if np.shares_memory(w, inputs[1]))
+                    seen.append((name, inputs[0].shape))
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        matmul = nn.matmul
+        monkeypatch.setattr(nn, "matmul",
+                            lambda a, b, counter=None: matmul(a.view(Spy), b, counter))
+        last = {f"layer{cfg.layers - 1}.{n}" for n in ("q_w", "o_w", "ffn_up_w", "ffn_down_w")}
+        rows = {n: B if n in last | {"pooler_w", "cls_w"} else B * s
+                for n in nn.weight_names(cfg) if n.endswith("_w")}
+
+        def check(transposed):
+            assert sorted(n for n, _ in seen) == sorted(rows)
+            for name, shape in seen:
+                k = model.weights[name].shape[1 if transposed else 0]
+                assert shape == (rows[name], k), name
+            seen.clear()
+
+        nn.forward_batch(model, ids)
+        check(transposed=False)
+        _, cache = nn.forward_batch(model, ids, want_cache=True)
+        check(transposed=False)
+        nn.backward(model, cache, np.ones((B, cfg.num_classes)))
+        check(transposed=True)
 
 
 class TestTrainLoop:
@@ -481,6 +526,15 @@ class TestCheckpoint:
             with pytest.raises(ValueError):
                 nn.load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_weight_rejected_naming_file_and_tensor(self, tmp_path, bad):
+        model = nn.init(TINY, 11)
+        model.weights["cls_b"][0] = bad
+        path = tmp_path / "m.ckpt"
+        nn.save_checkpoint(model, path)
+        with pytest.raises(ValueError, match="m.ckpt.*cls_b"):
+            nn.load_checkpoint(path)
+
     @pytest.mark.parametrize("edit", [
         lambda t: t[0].update(name="token_embedding"),   # renamed tensor
         lambda t: t[-1].update(shape=[3]),                # shape off its config
@@ -510,26 +564,17 @@ class TestPinnedBits:
         assert hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest() == digest
 
     def test_clipped_training_trajectory(self):
-        # max_grad_norm is far below the gradient norm, so every step clips and the
-        # per-tensor order of the norm's sums reaches the weights
-        rng = np.random.default_rng(14)
-        seqs = [rng.integers(0, WIDE.vocab, size=int(n)).tolist()
-                for n in rng.integers(3, 7, size=24)]
-        labels = rng.integers(0, 2, size=24)
-        model = nn.init(WIDE, 14)
-
-        def loss_and_grad(batch, logits):
-            logp = nn.log_softmax(logits)
-            onehot = np.eye(2)[labels[batch]]
-            return -(onehot * logp).sum(-1), np.exp(logp) - onehot
-
-        losses = nn.train_loop(model, rng, seqs, loss_and_grad,
-                               nn.TrainParams(learning_rate=1e-2, epochs=3, batch_size=8,
-                                              max_grad_norm=1e-3))
-        h = hashlib.sha256(json.dumps(losses).encode())
-        for name in nn.weight_names(WIDE):
-            h.update(model.weights[name].tobytes())
-        assert h.hexdigest() == "d179296658b008fed84792a60fb32f42ff9efe13443adb4208ffdc6d2d04252c"
+        # run in a child on OpenBLAS's AVX2 (Haswell) kernels, one thread: AVX-512
+        # kernels round batched products differently, so only a pinned kernel gives
+        # one digest on every x86-64 machine with AVX2
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(Path(nn.__file__).resolve().parents[1]),
+                                              str(Path(__file__).resolve().parent)])}
+        probe = "import test_nn; print(test_nn.clipped_training_trajectory_digest())"
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout.strip() == \
+            "6be446f062e567edc986779a3c3df2e8f4faa19a9f83c75f7b02d19e777641d6"
 
     def test_weight_writes_seen_after_init_and_load(self, tmp_path):
         model = nn.init(TINY, 15)
@@ -541,6 +586,30 @@ class TestPinnedBits:
             nn.save_checkpoint(m, tmp_path / "b.ckpt")
             assert np.array_equal(nn.load_checkpoint(tmp_path / "b.ckpt").weights["cls_b"],
                                   [0.5, -1.5])
+
+
+def clipped_training_trajectory_digest() -> str:
+    """sha256 of the epoch losses and every weight after three epochs of training
+    ``WIDE``: max_grad_norm is far below the gradient norm, so every step clips and
+    the per-tensor order of the norm's sums reaches the weights."""
+    rng = np.random.default_rng(14)
+    seqs = [rng.integers(0, WIDE.vocab, size=int(n)).tolist()
+            for n in rng.integers(3, 7, size=24)]
+    labels = rng.integers(0, 2, size=24)
+    model = nn.init(WIDE, 14)
+
+    def loss_and_grad(batch, logits):
+        logp = nn.log_softmax(logits)
+        onehot = np.eye(2)[labels[batch]]
+        return -(onehot * logp).sum(-1), np.exp(logp) - onehot
+
+    losses = nn.train_loop(model, rng, seqs, loss_and_grad,
+                           nn.TrainParams(learning_rate=1e-2, epochs=3, batch_size=8,
+                                          max_grad_norm=1e-3))
+    h = hashlib.sha256(json.dumps(losses).encode())
+    for name in nn.weight_names(WIDE):
+        h.update(model.weights[name].tobytes())
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -555,6 +624,7 @@ def fuzz_checkpoint(tmp_path_factory):
 @given(data=st.data())
 def test_corrupted_checkpoint_loads_whole_or_raises_value_error(fuzz_checkpoint, data):
     # a cut or an append is always caught; a changed payload byte still loads
+    # unless the weight it lands in decodes to NaN or +-inf, which is refused
     original, path = fuzz_checkpoint
     raw = bytearray(original)
     payload_start = raw.index(b"\n", len(b"ENCKPT1\n")) + 1
@@ -567,11 +637,13 @@ def test_corrupted_checkpoint_loads_whole_or_raises_value_error(fuzz_checkpoint,
     else:
         raw += data.draw(st.binary(min_size=1, max_size=8))
     path.write_bytes(bytes(raw))
+    finite = kind != "flip" or pos < payload_start or np.isfinite(np.frombuffer(
+        bytes(raw), dtype="<f4", count=1, offset=pos - (pos - payload_start) % 4)[0])
     try:
         model = nn.load_checkpoint(path)
     except ValueError:
-        assert kind != "flip" or pos < payload_start
+        assert kind != "flip" or pos < payload_start or not finite
         return
-    assert kind == "flip"
+    assert kind == "flip" and finite
     for name in nn.weight_names(model.config):
         assert model.weights[name].shape == nn._weight_shape(name, model.config)
