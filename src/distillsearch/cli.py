@@ -9,6 +9,11 @@ Exit codes: 0 success; 2 a malformed artifact or flag (ValueError);
 missing, unreadable, a full disk); 4 divergence (FloatingPointError).
 The exception's type alone sets the code, and :func:`main` is the one
 place that maps it.
+
+Every stage that runs a model (teach, capture, distill, bench) computes in
+:data:`COMPUTE_DTYPE`, float32, and records it in its report entry. A
+checkpoint stores fp32, so the accuracies a stage reports are those of the
+exact weights it saves, and a later stage loads them bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .archspace import ArchConfig, default_table1, pretrained_reference, validat
 # A directory where a file belongs is raised as ValueError where it arises (exit 2).
 EXIT_CODES = {ValueError: 2, OSError: 3, FloatingPointError: 4}
 
+COMPUTE_DTYPE = np.dtype(np.float32)  # every stage's models; the library's default is float64
 DEFAULT_TEACHER = ArchConfig(layers=4, hidden=128, heads=4, ffn=512, vocab=2000,
                              max_seq_len=32, num_classes=2)
 
@@ -148,7 +154,7 @@ def cmd_teach(args) -> dict:
     data = _load_or_generate_corpus(out, args.seed)
     params = corpus_mod.TeacherTrainParams(
         learning_rate=args.lr, epochs=args.epochs,
-        batch_size=args.batch_size, rng_seed=args.seed)
+        batch_size=args.batch_size, rng_seed=args.seed, dtype=COMPUTE_DTYPE)
     result = corpus_mod.train_teacher(config, data.labeled, params, val=data.val)
     nn.save_checkpoint(result.model, out / "teacher.ckpt")
     test_acc = corpus_mod.accuracy(result.model, data.test)
@@ -159,13 +165,13 @@ def cmd_teach(args) -> dict:
             "test_accuracy": test_acc,
             "epoch_losses": result.epoch_losses,
             "lr": args.lr, "epochs": args.epochs, "batch_size": args.batch_size,
-            "corpus_seed": data.spec.rng_seed,
+            "corpus_seed": data.spec.rng_seed, "dtype": COMPUTE_DTYPE.name,
             "artifacts": {"teacher": str(out / "teacher.ckpt")}}
 
 
 def cmd_capture(args) -> dict:
     out = _out_dir(args)
-    teacher = nn.load_checkpoint(_require(out / "teacher.ckpt", "teach"))
+    teacher = nn.load_checkpoint(_require(out / "teacher.ckpt", "teach"), COMPUTE_DTYPE)
     data = _load_or_generate_corpus(out, args.seed)
     dataset = distill_mod.capture_teacher_logits(teacher, data.unlabeled,
                                                  strict=not args.lenient)
@@ -175,13 +181,14 @@ def cmd_capture(args) -> dict:
         print(f"capture: skipped {skipped} invalid sequences")
     print(f"captured {len(dataset)} teacher logit records")
     return {"count": len(dataset), "skipped": skipped, "num_classes": dataset.num_classes,
-            "corpus_seed": data.spec.rng_seed, "artifacts": {"logits": str(out / "logits.ldst")}}
+            "corpus_seed": data.spec.rng_seed, "dtype": COMPUTE_DTYPE.name,
+            "artifacts": {"logits": str(out / "logits.ldst")}}
 
 
 def cmd_distill(args) -> dict:
     out = _out_dir(args)
     dataset = distill_mod.LogitDataset.load(_require(out / "logits.ldst", "capture"))
-    teacher = nn.load_checkpoint(_require(out / "teacher.ckpt", "teach"))
+    teacher = nn.load_checkpoint(_require(out / "teacher.ckpt", "teach"), COMPUTE_DTYPE)
     student_config = nn.read_artifact(
         args.student_config or _require(out / "arch.json", "search"), ArchConfig.from_json)
     student_config = dataclasses.replace(student_config,
@@ -195,7 +202,8 @@ def cmd_distill(args) -> dict:
             data.unlabeled, teacher.config.vocab, student_config.vocab)
     params = distill_mod.DistillParams(
         temperature=args.temperature, learning_rate=args.lr, epochs=args.epochs,
-        batch_size=args.batch_size, rng_seed=args.seed, vocab_map=vocab_map)
+        batch_size=args.batch_size, rng_seed=args.seed, vocab_map=vocab_map,
+        dtype=COMPUTE_DTYPE)
     student, trace = distill_mod.distill_train(student_config, dataset, params)
     nn.save_checkpoint(student, out / "student.ckpt")
 
@@ -212,7 +220,8 @@ def cmd_distill(args) -> dict:
             "initial_loss": trace.initial_loss, "final_loss": trace.final_loss,
             "epoch_losses": trace.epoch_losses,
             "test_accuracy": test_acc, "teacher_agreement": teacher_agree,
-            "corpus_seed": data.spec.rng_seed, "artifacts": {"student": str(out / "student.ckpt")}}
+            "corpus_seed": data.spec.rng_seed, "dtype": COMPUTE_DTYPE.name,
+            "artifacts": {"student": str(out / "student.ckpt")}}
 
 
 def _bench_model(model, sequences, repeats):
@@ -244,7 +253,7 @@ def cmd_bench(args) -> dict:
         limiter, threads = contextlib.nullcontext(), None
     with limiter:
         for path in paths:
-            model = nn.load_checkpoint(path)
+            model = nn.load_checkpoint(path, COMPUTE_DTYPE)
             seqs = [distill_mod.apply_vocab_map(ids, model.vocab_map)[: model.config.max_seq_len]
                     for ids in sample]
             means = _bench_model(model, seqs, args.repeats)
@@ -259,7 +268,7 @@ def cmd_bench(args) -> dict:
                   f"{len(seqs)} examples x {args.repeats} repeats")
 
     report = {"n": len(sample), "repeats": args.repeats, "threads": threads,
-              "corpus_seed": data.spec.rng_seed, "models": results}
+              "corpus_seed": data.spec.rng_seed, "dtype": COMPUTE_DTYPE.name, "models": results}
     names = [p.name for p in paths]
     if len(names) == 2:
         a, b = results[names[0]]["grand_mean_s"], results[names[1]]["grand_mean_s"]

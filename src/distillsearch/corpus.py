@@ -145,7 +145,7 @@ def train_teacher(config: ArchConfig, labeled: list[Example],
     if not labeled:
         raise ValueError("labeled split is empty")
     rng = np.random.default_rng(params.rng_seed)
-    model = nn.init(config, rng)
+    model = nn.init(config, rng, params.dtype)
     labels = np.array([ex.label for ex in labeled])
 
     def cross_entropy(batch, logits):

@@ -186,7 +186,7 @@ def distill_train(student_config: ArchConfig, data: LogitDataset,
     checkpoint can map teacher ids on its own.
     """
     rng = np.random.default_rng(params.rng_seed)
-    student = nn.init(student_config, rng)
+    student = nn.init(student_config, rng, params.dtype)
     seqs, targets = _inputs(data, params.vocab_map)
     t = params.temperature
 

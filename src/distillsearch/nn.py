@@ -12,9 +12,16 @@ Layout (post-norm BERT-family): token + position embeddings, embedding
 layer-norm, then per layer a bidirectional self-attention block and a
 GELU feed-forward block, each followed by residual add + layer-norm;
 classification from the first token through a tanh pooler and a linear
-head. All math is fp64 so finite-difference gradient checks are tight;
-checkpoints store fp32. Weights are views into one flat buffer, as are
-gradients. Every artifact, checkpoint or not, loads through
+head. Weights are views into one flat buffer, as are gradients.
+
+A model computes in its flat buffer's dtype, float64 or float32: every
+activation, cache entry, gradient and Adam moment takes it, and so does every
+constant (each a Python float, which under numpy's NEP 50 promotion never
+widens an array). :func:`init`, :func:`load_checkpoint` and
+:class:`TrainParams` choose it, float64 by default, so finite-difference
+gradient checks stay tight. Checkpoints store fp32, so saving a float32 model
+loses nothing. Losses stay float64: :func:`train_loop` widens the logits it
+hands a loss, and :func:`backward` narrows the gradient it gets back. Every artifact, checkpoint or not, loads through
 :func:`read_artifact`, which names the file of any malformed content.
 
 A batched pass keeps alive only what the next operation or :func:`backward`
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,6 +54,7 @@ from .archspace import ArchConfig
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
+DTYPES = (np.dtype(np.float64), np.dtype(np.float32))  # what a model can compute in
 
 
 class InvalidInputError(ValueError):
@@ -128,13 +137,25 @@ def _layout(config: ArchConfig) -> tuple[tuple[str, tuple[int, ...], int, int], 
     return tuple(layout)
 
 
+def compute_dtype(dtype) -> np.dtype:
+    """``dtype`` as a numpy dtype if it is one of :data:`DTYPES`; else ValueError."""
+    try:
+        resolved = None if dtype is None else np.dtype(dtype)  # np.dtype(None) is float64
+    except TypeError:
+        resolved = None
+    if resolved is None or resolved not in DTYPES:  # a dtype compares equal to None
+        raise ValueError(f"dtype must be float64 or float32, got {dtype!r}")
+    return resolved
+
+
 def _views(flat: np.ndarray, config: ArchConfig) -> dict[str, np.ndarray]:
     return {name: flat[start:stop].reshape(shape) for name, shape, start, stop in _layout(config)}
 
 
 @dataclass
 class EncoderModel:
-    """Weights for ``config`` as named views into one fp64 buffer, ``flat``, plus
+    """Weights for ``config`` as named views into one buffer, ``flat``, whose dtype
+    the model computes in, plus
     the teacher-id to model-id map when the model was distilled onto a smaller
     vocabulary. Callers apply the map to their ids before :func:`forward`."""
 
@@ -150,13 +171,16 @@ class EncoderModel:
         return self.flat.size
 
 
-def init(config: ArchConfig, rng: np.random.Generator | int) -> EncoderModel:
-    """Seed-deterministic init: N(0, 0.02) matrices, unit LN scales, zero biases."""
+def init(config: ArchConfig, rng: np.random.Generator | int,
+         dtype=np.float64) -> EncoderModel:
+    """Seed-deterministic init: N(0, 0.02) matrices, unit LN scales, zero biases, in
+    a ``dtype`` buffer (the same fp64 draws, rounded once for float32)."""
     if config.hidden % config.heads != 0:
         raise ValueError("hidden must be divisible by heads")
+    dtype = compute_dtype(dtype)
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    model = EncoderModel(config, np.empty(_layout(config)[-1][-1]))
+    model = EncoderModel(config, np.empty(_layout(config)[-1][-1], dtype=dtype))
     for name, w in model.weights.items():
         base = name.split(".")[-1]
         if base.endswith("_g"):
@@ -219,7 +243,7 @@ def _normal_cdf(x):
     pass caches Phi, and backward gets GELU and its gradient without a
     second erf."""
     from scipy.special import erf  # here, not at the top: search and estimate never run a forward
-    phi = x / np.sqrt(2.0)
+    phi = x / math.sqrt(2.0)
     erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
@@ -233,7 +257,7 @@ def _gelu_grad(x, phi):
     t *= x
     np.exp(t, out=t)
     t *= x
-    t /= np.sqrt(2.0 * np.pi)
+    t /= math.sqrt(2.0 * math.pi)
     t += phi
     return t
 
@@ -341,7 +365,7 @@ def _attention(x, r, w, p, heads, counter, keep):
     kh = k.reshape(B, s, heads, dh).transpose(0, 2, 1, 3)
     vh = v.reshape(B, s, heads, dh).transpose(0, 2, 1, 3)
     scores = matmul(qh, kh.transpose(0, 1, 3, 2), counter)
-    scores *= 1.0 / np.sqrt(dh)
+    scores *= 1.0 / math.sqrt(dh)
     probs = softmax(scores, out=scores)
     ctx = matmul(probs, vh, counter).transpose(0, 2, 1, 3).reshape(B, r, h)
     if keep is not None:
@@ -384,8 +408,8 @@ def _batches_by_length(indices, lengths, batch_size):
 
 
 def predict_logits(model: EncoderModel, seqs) -> np.ndarray:
-    """(len(seqs), num_classes) logits in input order; sequences of equal
-    length run together, PREDICT_BATCH at a time."""
+    """(len(seqs), num_classes) float64 logits in input order, the model's own
+    values widened; sequences of equal length run together, PREDICT_BATCH at a time."""
     logits = np.empty((len(seqs), model.config.num_classes))
     for batch in _batches_by_length(range(len(seqs)), [len(ids) for ids in seqs], PREDICT_BATCH):
         logits[batch], _ = forward_batch(model, np.array([seqs[i] for i in batch]))
@@ -395,10 +419,12 @@ def predict_logits(model: EncoderModel, seqs) -> np.ndarray:
 def backward(model: EncoderModel, cache: dict, dlogits: np.ndarray,
              out: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Gradients for every weight given d(loss)/d(logits), as named views into
-    ``out``, a flat buffer laid out like ``model.flat`` (overwritten), or a new one."""
+    ``out``, a flat buffer laid out like ``model.flat`` (overwritten), or a new one.
+    ``dlogits`` is taken in the model's dtype."""
     cfg = model.config
     w = model.weights
     ids = cache["ids"]
+    dlogits = np.asarray(dlogits, dtype=model.flat.dtype)
     out = np.empty_like(model.flat) if out is None else out
     out.fill(0.0)
     grads = _views(out, cfg)
@@ -460,14 +486,14 @@ def _attention_backward(dy, lc, w, p, heads, grads):
     dscores = dctx_h @ lc["vh"].transpose(0, 1, 3, 2)
     dscores -= (dscores * probs).sum(-1, keepdims=True)
     dscores *= probs
-    dscores *= 1.0 / np.sqrt(dh)
+    dscores *= 1.0 / math.sqrt(dh)
     dq = (dscores @ lc["kh"]).transpose(0, 2, 1, 3).reshape(B, r, h)
     dk = (dscores.transpose(0, 1, 3, 2) @ lc["qh"]).transpose(0, 2, 1, 3).reshape(B, s, h)
     dv = dvh.transpose(0, 2, 1, 3).reshape(B, s, h)
     dx = _linear_backward(xq, dq, w, p + "q", grads)
     dx += dres
     if r < s:
-        dx = np.concatenate([dx, np.zeros((B, s - r, h))], axis=1)
+        dx = np.concatenate([dx, np.zeros((B, s - r, h), dtype=dx.dtype)], axis=1)
     dx += _linear_backward(x, dk, w, p + "k", grads)
     dx += _linear_backward(x, dv, w, p + "v", grads)
     return dx
@@ -501,13 +527,14 @@ class TrainState:
     def __post_init__(self):
         self.adam_m = np.zeros_like(self.model.flat)
         self.adam_v = np.zeros_like(self.model.flat)
-        self.scratch = np.empty((2, min(ADAM_CHUNK, self.model.flat.size)))
+        self.scratch = np.empty((2, min(ADAM_CHUNK, self.model.flat.size)),
+                                dtype=self.model.flat.dtype)
 
 
 def clip_global_norm(grad: np.ndarray, config: ArchConfig, max_norm: float) -> float:
     """Scale the flat gradient so its L2 norm is at most max_norm. Squares are summed
     tensor by tensor: once clipping fires, that order is part of the trajectory."""
-    total = np.sqrt(sum(float((g * g).sum()) for g in _views(grad, config).values()))
+    total = math.sqrt(sum(float((g * g).sum()) for g in _views(grad, config).values()))
     if total > max_norm:
         grad *= max_norm / total
     return total
@@ -547,8 +574,10 @@ class TrainParams:
     batch_size: int = 64
     rng_seed: int = 0
     max_grad_norm: float | None = 1.0  # Adam alone is unstable on the teacher at 1e-3
+    dtype: type = np.float64  # the model's compute dtype, float64 or float32
 
     def __post_init__(self):
+        compute_dtype(self.dtype)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -562,11 +591,15 @@ def train_loop(model: EncoderModel, rng: np.random.Generator, seqs,
     Every epoch shuffles ``seqs`` with ``rng`` and batches equal lengths
     together. ``loss_and_grad(batch, logits)`` gets the batch's indices into
     ``seqs`` and its logits, and returns the per-example loss and its
-    gradient with respect to the logits. Raises ValueError when there are
-    epochs to run but no sequences.
+    gradient with respect to the logits. The logits it gets are float64
+    whatever the model computes in, so a loss never underflows in float32.
+    Raises ValueError when there are epochs to run but no sequences, or when
+    the model's dtype is not ``params.dtype``.
     """
     if params.epochs and len(seqs) == 0:
         raise ValueError("train_loop got no sequences to train on")
+    if model.flat.dtype != compute_dtype(params.dtype):
+        raise ValueError(f"a {model.flat.dtype} model cannot train with dtype {params.dtype!r}")
     state = TrainState(model)
     grad = np.empty_like(model.flat)  # reused by every step
     lengths = [len(ids) for ids in seqs]
@@ -577,7 +610,7 @@ def train_loop(model: EncoderModel, rng: np.random.Generator, seqs,
                                         params.batch_size):
             logits, cache = forward_batch(model, np.array([seqs[i] for i in batch]),
                                           want_cache=True)
-            per_example, dlogits = loss_and_grad(batch, logits)
+            per_example, dlogits = loss_and_grad(batch, logits.astype(np.float64, copy=False))
             loss = per_example.sum()
             if not np.isfinite(loss):
                 raise FloatingPointError(
@@ -622,10 +655,12 @@ def read_artifact(path, parse):
         raise ValueError(f"{path}: {exc!r}") from exc
 
 
-def load_checkpoint(path) -> EncoderModel:
-    """Read a checkpoint written by :func:`save_checkpoint`; raise ValueError
-    unless its header lists exactly the tensors its config implies, the
-    payload holds exactly their bytes and every weight is finite."""
+def load_checkpoint(path, dtype=np.float64) -> EncoderModel:
+    """Read a checkpoint written by :func:`save_checkpoint` into a ``dtype`` model;
+    raise ValueError unless its header lists exactly the tensors its config
+    implies, the payload holds exactly their bytes and every weight is finite."""
+    dtype = compute_dtype(dtype)
+
     def parse(raw: bytes) -> EncoderModel:
         end = raw.find(b"\n", len(_MAGIC))
         if not raw.startswith(_MAGIC) or end < 0:
@@ -651,5 +686,5 @@ def load_checkpoint(path) -> EncoderModel:
             at = int(np.argmin(finite))
             name = next(name for name, _, start, stop in layout if start <= at < stop)
             raise ValueError(f"weight {name} holds a non-finite value, {payload[at]}")
-        return EncoderModel(config, payload.astype(np.float64), vocab_map)
+        return EncoderModel(config, payload.astype(dtype), vocab_map)
     return read_artifact(path, parse)

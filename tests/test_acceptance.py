@@ -34,6 +34,7 @@ def report(criterion: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
+    """Trains, captures and distills in the CLI's compute dtype, as the CLI does."""
     out = tmp_path_factory.mktemp("pipeline")
     state = {"out": out}
 
@@ -42,10 +43,10 @@ def pipeline(tmp_path_factory):
     state["corpus"] = data
 
     t0 = time.perf_counter()
-    teacher_res = corpus.train_teacher(
-        TEACHER_CONFIG, data.labeled,
-        corpus.TeacherTrainParams(epochs=TEACHER_EPOCHS, rng_seed=PIPELINE_SEED),
-        val=data.val)
+    state["teacher_params"] = corpus.TeacherTrainParams(
+        epochs=TEACHER_EPOCHS, rng_seed=PIPELINE_SEED, dtype=cli.COMPUTE_DTYPE)
+    teacher_res = corpus.train_teacher(TEACHER_CONFIG, data.labeled, state["teacher_params"],
+                                       val=data.val)
     state["teacher"] = teacher_res
     nn.save_checkpoint(teacher_res.model, out / "teacher.ckpt")
 
@@ -66,7 +67,8 @@ def pipeline(tmp_path_factory):
         vocab_map = distill.build_vocab_map(data.unlabeled, TEACHER_CONFIG.vocab,
                                             student_config.vocab)
     dparams = DistillParams(temperature=2.0, epochs=DISTILL_EPOCHS,
-                            rng_seed=PIPELINE_SEED, vocab_map=vocab_map)
+                            rng_seed=PIPELINE_SEED, vocab_map=vocab_map,
+                            dtype=cli.COMPUTE_DTYPE)
     state["distill_params"] = dparams
     state["logits"] = logits
     student, trace = distill.distill_train(student_config, logits, dparams)
@@ -294,8 +296,7 @@ def test_criterion_10_determinism(pipeline):
 
     # full training reruns with the pipeline's seeds reproduce its traces
     teacher_rerun = corpus.train_teacher(
-        TEACHER_CONFIG, pipeline["corpus"].labeled,
-        corpus.TeacherTrainParams(epochs=TEACHER_EPOCHS, rng_seed=PIPELINE_SEED),
+        TEACHER_CONFIG, pipeline["corpus"].labeled, pipeline["teacher_params"],
         val=pipeline["corpus"].val)
     teach_ok = teacher_rerun.epoch_losses == pipeline["teacher"].epoch_losses
 

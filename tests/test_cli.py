@@ -145,6 +145,37 @@ class TestPipelineCommands:
         assert report["distill"]["seed"] == 1
         assert report["teach"]["val_accuracy"] >= 0.0
 
+    def test_float32_rerun_writes_the_same_bytes(self, small_corpus_dir, tmp_path_factory,
+                                                 monkeypatch):
+        # a float32 model saves losslessly: what a stage saves is what it computed
+        # with, and what the next stage loads
+        saved = {}
+        save = nn.save_checkpoint
+
+        def spy_save(model, path):
+            saved[Path(path)] = model.flat.copy()
+            save(model, path)
+
+        monkeypatch.setattr(nn, "save_checkpoint", spy_save)
+        (small_corpus_dir / "teacher_cfg.json").write_text(TINY_TEACHER.to_json())
+        (small_corpus_dir / "student_cfg.json").write_text(
+            ArchConfig(layers=1, hidden=8, heads=2, ffn=16, vocab=100, max_seq_len=32).to_json())
+        outs = [tmp_path_factory.mktemp(name) for name in ("first", "second")]
+        for out in outs:
+            shutil.copytree(small_corpus_dir, out, dirs_exist_ok=True)
+            assert run(out, "--seed", "2", "teach", "--config", str(out / "teacher_cfg.json"),
+                       "--epochs", "1", "--batch-size", "32") == 0
+            assert run(out, "--seed", "2", "capture") == 0
+            assert run(out, "--seed", "2", "distill", "--student-config",
+                       str(out / "student_cfg.json"), "--epochs", "2") == 0
+        for name in ("teacher.ckpt", "logits.ldst", "student.ckpt"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        for path, flat in saved.items():
+            loaded = nn.load_checkpoint(path, np.float32)
+            assert flat.dtype == loaded.flat.dtype == np.float32
+            assert np.array_equal(loaded.flat, flat), path.name
+        assert len(saved) == 4
+
     def test_capture_count_matches_unlabeled(self, small_corpus_dir):
         out = small_corpus_dir
         nn.save_checkpoint(nn.init(TINY_TEACHER, 0), out / "teacher.ckpt")
@@ -427,6 +458,12 @@ class TestRunExplainsItself:
         assert run(damaged, "--seed", "5", "capture") == 0
         entry = report_entry(damaged, "capture")
         assert (entry["seed"], entry["corpus_seed"]) == (5, 0)
+
+    def test_reports_the_compute_dtype_beside_provenance(self, damaged):
+        for command in ("teach", "capture", "distill", "bench"):
+            entry = report_entry(damaged, command)
+            assert entry["dtype"] == "float32" == cli.COMPUTE_DTYPE.name
+            assert "dtype" not in entry["provenance"]
 
     def test_threads_null_without_threadpoolctl(self, damaged, monkeypatch):
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)

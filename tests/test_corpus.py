@@ -3,6 +3,7 @@ import pytest
 
 from distillsearch.archspace import ArchConfig
 from distillsearch.corpus import (
+    Example,
     SyntheticTaskSpec,
     TeacherTrainParams,
     accuracy,
@@ -114,6 +115,27 @@ class TestTrainTeacher:
         params = TeacherTrainParams(epochs=3, batch_size=32, rng_seed=0)
         res = train_teacher(self.CFG, data.labeled, params, val=data.val)
         assert res.epoch_losses[-1] < res.epoch_losses[0]
+
+    def test_float32_step_with_an_underflowing_probability_has_a_finite_loss(self,
+                                                                             monkeypatch):
+        # logits [0, 120] give the true class 0 probability exp(-120), about 8e-53:
+        # below float32's smallest subnormal, so its log is finite only because the
+        # loss reads float64 logits
+        import distillsearch.nn as nn
+        init = nn.init
+
+        def confident_init(config, rng, dtype):
+            model = init(config, rng, dtype)
+            model.weights["cls_w"][:] = 0.0
+            model.weights["cls_b"][:] = [0.0, 120.0]
+            return model
+
+        monkeypatch.setattr(nn, "init", confident_init)
+        examples = [Example([1, 2, 3, 4], 0)] * 4
+        params = TeacherTrainParams(epochs=1, batch_size=4, dtype=np.float32)
+        res = train_teacher(self.CFG, examples, params)
+        assert res.model.flat.dtype == np.float32
+        assert res.epoch_losses == [pytest.approx(120.0)]
 
     def test_empty_labeled_rejected(self):
         with pytest.raises(ValueError):

@@ -229,10 +229,18 @@ class TestTrainLoop:
         assert nn.train_loop(model, np.random.default_rng(0), [], None,
                              nn.TrainParams(epochs=0)) == []
 
-    @pytest.mark.parametrize("bad", [dict(batch_size=0), dict(epochs=-1)])
+    @pytest.mark.parametrize("bad", [dict(batch_size=0), dict(epochs=-1), dict(dtype=np.float16),
+                                     dict(dtype="int32"), dict(dtype="no such type"),
+                                     dict(dtype=None)])
     def test_params_validated(self, bad):
         with pytest.raises(ValueError):
             nn.TrainParams(**bad)
+
+    def test_model_and_params_must_share_a_dtype(self):
+        model = nn.init(TINY, 12, np.float32)
+        with pytest.raises(ValueError, match="float32 model"):
+            nn.train_loop(model, np.random.default_rng(0), [[1, 2, 3]], None,
+                          nn.TrainParams(epochs=1))
 
 
 class TestBackward:
@@ -310,6 +318,100 @@ class TestBackward:
         reference = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
         assert np.array_equal(nn._gelu(x), reference)
         assert np.array_equal(x * nn._normal_cdf(x), reference)
+
+
+def float_arrays(obj):
+    """Every floating-point array in a nest of dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.dtype.kind == "f" else []
+    items = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, (list, tuple)) else []
+    return [a for item in items for a in float_arrays(item)]
+
+
+class TestComputeDtype:
+    """A model computes in its flat buffer's dtype. fp32 results are compared
+    with another run in the same process or with fp64 at a tolerance, never with
+    a pinned digest: sgemm kernels round differently from CPU to CPU."""
+
+    CFG = ArchConfig(layers=2, hidden=16, heads=2, ffn=32, vocab=40, max_seq_len=12)
+
+    # every function of a training step whose result holds activations or gradients
+    SPIED = ("forward_batch", "_attention", "_ffn", "_normal_cdf", "_layer_norm_fwd",
+             "backward", "_ffn_backward", "_attention_backward", "_linear_backward",
+             "_gelu_grad", "_layer_norm_bwd")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_two_training_steps_keep_every_array_in_the_buffers_dtype(self, dtype,
+                                                                       monkeypatch):
+        seen = {name: [] for name in (*self.SPIED, "sgd_adam_step", "loss")}
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                seen[name].extend(float_arrays(result))
+                return result
+            return wrapper
+
+        def spy_adam(state, grad, lr):
+            seen["sgd_adam_step"].extend([grad, state.adam_m, state.adam_v, state.scratch])
+            return adam_step(state, grad, lr)
+
+        def loss_and_grad(batch, logits):
+            seen["loss"].append(logits)
+            return np.zeros(len(batch)), rng.normal(size=logits.shape)
+
+        for name in self.SPIED:
+            monkeypatch.setattr(nn, name, spy(name, getattr(nn, name)))
+        adam_step = nn.sgd_adam_step
+        monkeypatch.setattr(nn, "sgd_adam_step", spy_adam)
+        rng = np.random.default_rng(40)
+        model = nn.init(self.CFG, 40, dtype)
+        seqs = rng.integers(0, self.CFG.vocab, size=(6, 7)).tolist()
+        nn.train_loop(model, rng, seqs, loss_and_grad,
+                      nn.TrainParams(epochs=1, batch_size=3, dtype=dtype))
+
+        assert len(seen["loss"]) == 2
+        for name in (*self.SPIED, "sgd_adam_step"):
+            assert {a.dtype for a in seen[name]} == {np.dtype(dtype)}, name
+        assert {a.dtype for a in seen["loss"]} == {np.dtype(np.float64)}
+        assert model.flat.dtype == dtype
+
+    def test_float32_backward_matches_float64_on_the_same_weights(self):
+        # fp32 rounds at 6e-8. Each tensor's gradient stays within 1e-5 of fp64's,
+        # relative to its norm (3e-7 to 5e-7 read here), except the key biases':
+        # softmax ignores a shift shared by a row's scores, so theirs is zero but
+        # for rounding, and their error is set against the whole gradient's norm
+        cfg = ArchConfig(layers=3, hidden=32, heads=4, ffn=64, vocab=50, max_seq_len=16)
+        rng = np.random.default_rng(41)
+        single = nn.init(cfg, 41, np.float32)
+        double = nn.EncoderModel(cfg, single.flat.astype(np.float64))
+        ids = rng.integers(0, cfg.vocab, size=(8, 12))
+        dlogits = rng.normal(size=(8, cfg.num_classes))
+        flat = {}
+        for model in (single, double):
+            logits, cache = nn.forward_batch(model, ids, want_cache=True)
+            flat[model.flat.dtype.name] = np.empty_like(model.flat)
+            nn.backward(model, cache, dlogits, out=flat[model.flat.dtype.name])
+        g32, g64 = (nn._views(flat[name], cfg) for name in ("float32", "float64"))
+        for name in g64:
+            scale = np.linalg.norm(flat["float64"] if name.endswith("k_b") else g64[name])
+            assert np.linalg.norm(g32[name] - g64[name]) <= 1e-5 * scale, name
+
+    @pytest.mark.parametrize("bad", [np.float16, np.int32, "complex128"])
+    def test_other_dtypes_rejected(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="float64 or float32"):
+            nn.init(TINY, 0, bad)
+        nn.save_checkpoint(nn.init(TINY, 0), tmp_path / "m.ckpt")
+        with pytest.raises(ValueError, match="float64 or float32"):
+            nn.load_checkpoint(tmp_path / "m.ckpt", bad)
+
+    def test_float32_checkpoint_loads_bit_for_bit(self, tmp_path):
+        model = nn.init(WIDE, 42, np.float32)
+        nn.save_checkpoint(model, tmp_path / "m.ckpt")
+        loaded = nn.load_checkpoint(tmp_path / "m.ckpt", np.float32)
+        assert loaded.flat.dtype == np.float32
+        assert np.array_equal(loaded.flat, model.flat)
+        assert nn.load_checkpoint(tmp_path / "m.ckpt").flat.dtype == np.float64
 
 
 class TestKernelBits:
