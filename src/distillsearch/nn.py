@@ -12,17 +12,18 @@ Layout (post-norm BERT-family): token + position embeddings, embedding
 layer-norm, then per layer a bidirectional self-attention block and a
 GELU feed-forward block, each followed by residual add + layer-norm;
 classification from the first token through a tanh pooler and a linear
-head. Weights are views into one flat buffer, as are gradients.
+head. Weights are views into one flat buffer, as are gradients. Every
+artifact, checkpoint or not, loads through :func:`read_artifact`, which names
+the file of any malformed content.
 
 A model computes in its flat buffer's dtype, float64 or float32: every
-activation, cache entry, gradient and Adam moment takes it, and so does every
-constant (each a Python float, which under numpy's NEP 50 promotion never
-widens an array). :func:`init`, :func:`load_checkpoint` and
-:class:`TrainParams` choose it, float64 by default, so finite-difference
-gradient checks stay tight. Checkpoints store fp32, so saving a float32 model
-loses nothing. Losses stay float64: :func:`train_loop` widens the logits it
-hands a loss, and :func:`backward` narrows the gradient it gets back. Every artifact, checkpoint or not, loads through
-:func:`read_artifact`, which names the file of any malformed content.
+activation, cache entry, gradient and Adam moment takes it. Constants are
+Python floats, which under numpy's NEP 50 promotion never widen an array.
+:func:`init`, :func:`load_checkpoint` and :class:`TrainParams` choose the
+dtype, float64 by default, so finite-difference gradient checks stay tight.
+Checkpoints store fp32, so saving a float32 model loses nothing. Losses stay
+float64: :func:`train_loop` widens the logits it hands a loss, and
+:func:`backward` narrows the gradient it gets back.
 
 A batched pass keeps alive only what the next operation or :func:`backward`
 reads. Each attention and feed-forward sub-block, forward and backward,
@@ -137,13 +138,14 @@ def _layout(config: ArchConfig) -> tuple[tuple[str, tuple[int, ...], int, int], 
     return tuple(layout)
 
 
-def compute_dtype(dtype) -> np.dtype:
+def _compute_dtype(dtype) -> np.dtype:
     """``dtype`` as a numpy dtype if it is one of :data:`DTYPES`; else ValueError."""
     try:
-        resolved = None if dtype is None else np.dtype(dtype)  # np.dtype(None) is float64
+        resolved = np.dtype(dtype)
     except TypeError:
         resolved = None
-    if resolved is None or resolved not in DTYPES:  # a dtype compares equal to None
+    # None is refused, though np.dtype(None) is float64 and a dtype compares equal to it
+    if dtype is None or resolved is None or resolved not in DTYPES:
         raise ValueError(f"dtype must be float64 or float32, got {dtype!r}")
     return resolved
 
@@ -154,10 +156,10 @@ def _views(flat: np.ndarray, config: ArchConfig) -> dict[str, np.ndarray]:
 
 @dataclass
 class EncoderModel:
-    """Weights for ``config`` as named views into one buffer, ``flat``, whose dtype
-    the model computes in, plus
-    the teacher-id to model-id map when the model was distilled onto a smaller
-    vocabulary. Callers apply the map to their ids before :func:`forward`."""
+    """Weights for ``config`` as named views into one buffer, ``flat``, whose
+    dtype the model computes in, plus the teacher-id to model-id map when the
+    model was distilled onto a smaller vocabulary. Callers apply the map to
+    their ids before :func:`forward`."""
 
     config: ArchConfig
     flat: np.ndarray
@@ -177,7 +179,7 @@ def init(config: ArchConfig, rng: np.random.Generator | int,
     a ``dtype`` buffer (the same fp64 draws, rounded once for float32)."""
     if config.hidden % config.heads != 0:
         raise ValueError("hidden must be divisible by heads")
-    dtype = compute_dtype(dtype)
+    dtype = _compute_dtype(dtype)
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     model = EncoderModel(config, np.empty(_layout(config)[-1][-1], dtype=dtype))
@@ -574,10 +576,10 @@ class TrainParams:
     batch_size: int = 64
     rng_seed: int = 0
     max_grad_norm: float | None = 1.0  # Adam alone is unstable on the teacher at 1e-3
-    dtype: type = np.float64  # the model's compute dtype, float64 or float32
+    dtype: np.dtype | type = np.float64  # the model's compute dtype, float64 or float32
 
     def __post_init__(self):
-        compute_dtype(self.dtype)
+        _compute_dtype(self.dtype)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -598,7 +600,7 @@ def train_loop(model: EncoderModel, rng: np.random.Generator, seqs,
     """
     if params.epochs and len(seqs) == 0:
         raise ValueError("train_loop got no sequences to train on")
-    if model.flat.dtype != compute_dtype(params.dtype):
+    if model.flat.dtype != _compute_dtype(params.dtype):
         raise ValueError(f"a {model.flat.dtype} model cannot train with dtype {params.dtype!r}")
     state = TrainState(model)
     grad = np.empty_like(model.flat)  # reused by every step
@@ -659,7 +661,7 @@ def load_checkpoint(path, dtype=np.float64) -> EncoderModel:
     """Read a checkpoint written by :func:`save_checkpoint` into a ``dtype`` model;
     raise ValueError unless its header lists exactly the tensors its config
     implies, the payload holds exactly their bytes and every weight is finite."""
-    dtype = compute_dtype(dtype)
+    dtype = _compute_dtype(dtype)
 
     def parse(raw: bytes) -> EncoderModel:
         end = raw.find(b"\n", len(_MAGIC))

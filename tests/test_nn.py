@@ -405,14 +405,6 @@ class TestComputeDtype:
         with pytest.raises(ValueError, match="float64 or float32"):
             nn.load_checkpoint(tmp_path / "m.ckpt", bad)
 
-    def test_float32_checkpoint_loads_bit_for_bit(self, tmp_path):
-        model = nn.init(WIDE, 42, np.float32)
-        nn.save_checkpoint(model, tmp_path / "m.ckpt")
-        loaded = nn.load_checkpoint(tmp_path / "m.ckpt", np.float32)
-        assert loaded.flat.dtype == np.float32
-        assert np.array_equal(loaded.flat, model.flat)
-        assert nn.load_checkpoint(tmp_path / "m.ckpt").flat.dtype == np.float64
-
 
 class TestKernelBits:
     """Each in-place kernel against the expression it replaced, written out
