@@ -39,10 +39,6 @@ class ArchConfig:
                 f"hidden ({self.hidden}) must be divisible by heads ({self.heads})"
             )
 
-    @property
-    def head_dim(self) -> int:
-        return self.hidden // self.heads
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -78,9 +74,6 @@ class GridRange:
         if (self.upper - self.lower) % self.step != 0:
             raise ValueError(f"upper not on grid: {self}")
 
-    def contains(self, v: int) -> bool:
-        return self.lower <= v <= self.upper and (v - self.lower) % self.step == 0
-
     def values(self) -> range:
         return range(self.lower, self.upper + 1, self.step)
 
@@ -108,9 +101,6 @@ class SearchSpace:
         for field in SEARCHED_FIELDS:
             n *= len(self.grid_values(field))
         return n
-
-    def contains(self, config: ArchConfig) -> bool:
-        return validate(config, self).ok
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,7 @@ def cmd_teach(args) -> dict:
     out = _out_dir(args)
     config = nn.read_artifact(args.config, ArchConfig.from_json) if args.config else DEFAULT_TEACHER
     data = _load_or_generate_corpus(out, args.seed)
-    params = corpus_mod.TeacherTrainParams(
+    params = nn.TrainParams(
         learning_rate=args.lr, epochs=args.epochs,
         batch_size=args.batch_size, rng_seed=args.seed, dtype=COMPUTE_DTYPE)
     result = corpus_mod.train_teacher(config, data.labeled, params, val=data.val)
@@ -161,7 +161,6 @@ def cmd_teach(args) -> dict:
     print(f"teacher: val acc {result.val_accuracy:.4f}, test acc {test_acc:.4f}")
     return {"config": config.to_dict(),
             "val_accuracy": result.val_accuracy,
-            "train_accuracy": result.train_accuracy,
             "test_accuracy": test_acc,
             "epoch_losses": result.epoch_losses,
             "lr": args.lr, "epochs": args.epochs, "batch_size": args.batch_size,
@@ -210,8 +209,8 @@ def cmd_distill(args) -> dict:
     test_ids = [ex.ids for ex in data.test]
     logits = nn.predict_logits(  # run the student over the test split once, for both rates
         student, [distill_mod.apply_vocab_map(ids, vocab_map) for ids in test_ids])
-    test_acc = distill_mod.match_rate(logits, [ex.label for ex in data.test])
-    teacher_agree = distill_mod.match_rate(logits, nn.predict_logits(teacher, test_ids))
+    test_acc = nn.match_rate(logits, [ex.label for ex in data.test])
+    teacher_agree = nn.match_rate(logits, nn.predict_logits(teacher, test_ids))
     print(f"student: test acc {test_acc:.4f}, teacher agreement {teacher_agree:.4f}")
     return {"student_config": student_config.to_dict(),
             "temperature": args.temperature, "lr": args.lr,

@@ -9,7 +9,7 @@ unlabeled part ships without labels and exists only to query a teacher.
 
 The teacher trains with hard-label cross-entropy through
 :func:`nn.train_loop`, the loop the student shares; :func:`accuracy`
-runs on :func:`nn.predict_logits`.
+is :func:`nn.match_rate` on :func:`nn.predict_logits`.
 """
 
 from __future__ import annotations
@@ -120,26 +120,20 @@ def generate(spec: SyntheticTaskSpec) -> Corpus:
 # teacher training
 
 
-TeacherTrainParams = nn.TrainParams
-
-
 def accuracy(model: EncoderModel, examples: list[Example]) -> float:
-    if not examples:
-        raise ValueError("empty evaluation set")
-    preds = nn.predict_logits(model, [ex.ids for ex in examples]).argmax(-1)
-    return sum(int(p) == ex.label for p, ex in zip(preds, examples)) / len(examples)
+    return nn.match_rate(nn.predict_logits(model, [ex.ids for ex in examples]),
+                         [ex.label for ex in examples])
 
 
 @dataclass
 class TeacherResult:
     model: EncoderModel
     val_accuracy: float
-    train_accuracy: float
     epoch_losses: list[float] = field(default_factory=list)
 
 
 def train_teacher(config: ArchConfig, labeled: list[Example],
-                  params: TeacherTrainParams = TeacherTrainParams(),
+                  params: nn.TrainParams = nn.TrainParams(),
                   val: list[Example] | None = None) -> TeacherResult:
     """Supervised cross-entropy training of the teacher classifier."""
     if not labeled:
@@ -157,9 +151,7 @@ def train_teacher(config: ArchConfig, labeled: list[Example],
 
     epoch_losses = nn.train_loop(model, rng, [ex.ids for ex in labeled], cross_entropy, params)
     val_acc = accuracy(model, val) if val else float("nan")
-    train_acc = accuracy(model, labeled)
-    return TeacherResult(model, val_accuracy=val_acc, train_accuracy=train_acc,
-                         epoch_losses=epoch_losses)
+    return TeacherResult(model, val_accuracy=val_acc, epoch_losses=epoch_losses)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ soft cross-entropy
 averaged over records, written once in :func:`soft_ce`. Gradients flow
 to the student logits q only; the teacher stays fixed. The student
 trains through :func:`nn.train_loop`, the teacher's loop with this loss
-in place of hard-label cross-entropy, and every evaluation (capture,
-dataset loss, agreement) runs on :func:`nn.predict_logits`.
+in place of hard-label cross-entropy, and every evaluation (capture and
+the student's losses) runs on :func:`nn.predict_logits`.
 """
 
 from __future__ import annotations
@@ -29,56 +29,65 @@ LDST_VERSION = 1
 
 
 @dataclass
-class LogitRecord:
-    token_ids: list[int]
-    teacher_logits: np.ndarray
-
-
-@dataclass
 class LogitDataset:
-    records: list[LogitRecord]
-    num_classes: int
+    """The teacher's raw logits on unlabeled sequences: ``logits[i]`` is its
+    (float64) output on ``seqs[i]``, one row per sequence."""
+
+    seqs: list[list[int]]
+    logits: np.ndarray
 
     def __post_init__(self):
-        if not self.records:
+        if not self.seqs:
             raise ValueError("LogitDataset needs at least one record")
-        for r in self.records:
-            r.teacher_logits = np.asarray(r.teacher_logits, dtype=np.float64)
-            if r.teacher_logits.shape != (self.num_classes,):
-                raise ValueError("record logits do not match num_classes")
+        self.logits = np.asarray(self.logits, dtype=np.float64)
+        if self.logits.ndim != 2 or len(self.logits) != len(self.seqs):
+            raise ValueError("logits need one row per sequence")
+
+    @property
+    def num_classes(self) -> int:
+        return self.logits.shape[1]
 
     def __len__(self):
-        return len(self.records)
+        return len(self.seqs)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
             header = {"version": LDST_VERSION, "num_classes": self.num_classes,
-                      "count": len(self.records)}
+                      "count": len(self.seqs)}
             fh.write(json.dumps(header) + "\n")
-            for r in self.records:
-                fh.write(json.dumps({"ids": list(map(int, r.token_ids)),
-                                     "logits": [float(x) for x in r.teacher_logits]},
+            for ids, row in zip(self.seqs, self.logits.tolist()):
+                fh.write(json.dumps({"ids": list(map(int, ids)), "logits": row},
                                     allow_nan=False) + "\n")
 
     @classmethod
     def load(cls, path) -> "LogitDataset":
         """Read a file written by :meth:`save`; raise ValueError naming the
-        file for a malformed header or record, or a wrong record count."""
+        file for a header of another version, a malformed header or record,
+        or a wrong record count."""
         def parse(raw):
             header, *rows = map(json.loads, raw.splitlines())
+            version, num_classes = header["version"], header["num_classes"]
+            if type(version) is not int or version != LDST_VERSION:
+                raise ValueError(f"version {version!r:.40}, expected {LDST_VERSION}")
+            if type(num_classes) is not int or num_classes < 1:
+                raise ValueError(f"num_classes must be a positive integer, "
+                                 f"got {num_classes!r:.40}")
             if len(rows) != header["count"]:
                 raise ValueError(f"expected {header['count']} records, got {len(rows)}")
-            return cls([LogitRecord(nn.token_ids(rec["ids"]), _numbers(rec["logits"]))
-                        for rec in rows], num_classes=header["num_classes"])
+            return cls([nn.token_ids(rec["ids"]) for rec in rows],
+                       [_logits(rec["logits"], num_classes) for rec in rows])
         return nn.read_artifact(path, parse)
 
 
-def _numbers(value) -> list:
-    """``value`` if it is a list of finite numbers, as stored logits must be; else
-    ValueError. JSON's ``NaN`` and ``Infinity`` parse, and so does ``1e999``, as inf."""
+def _logits(value, num_classes: int) -> list:
+    """``value`` if it is a list of ``num_classes`` finite numbers, as a stored row
+    must be; else ValueError. JSON's ``NaN`` and ``Infinity`` parse, and so does
+    ``1e999``, as inf."""
     if not (isinstance(value, list) and all(type(x) in (int, float) for x in value)
             and np.isfinite(np.array(value, dtype=np.float64)).all()):
         raise ValueError(f"logits must be a list of finite numbers, got {value!r:.40}")
+    if len(value) != num_classes:
+        raise ValueError(f"a record holds {len(value)} logits, the header says {num_classes}")
     return value
 
 
@@ -110,9 +119,7 @@ def capture_teacher_logits(teacher: EncoderModel, unlabeled,
     seqs = [list(map(int, ids)) for ids in unlabeled]
     if not strict:
         seqs = [ids for ids in seqs if _valid(teacher.config, ids)]
-    logits = nn.predict_logits(teacher, seqs)
-    return LogitDataset([LogitRecord(ids, row) for ids, row in zip(seqs, logits)],
-                        num_classes=teacher.config.num_classes)
+    return LogitDataset(seqs, nn.predict_logits(teacher, seqs))
 
 
 def soft_ce(p, q, temperature: float) -> tuple[np.ndarray, np.ndarray]:
@@ -127,16 +134,6 @@ def soft_ce(p, q, temperature: float) -> tuple[np.ndarray, np.ndarray]:
     log_student = nn.log_softmax(q / t)
     loss = -(t * t) * (soft_targets * log_student).sum(-1)
     return loss, t * (np.exp(log_student) - soft_targets)
-
-
-def soft_ce_loss(p, q, temperature: float) -> float:
-    """Temperature-softened soft cross-entropy between logit vectors."""
-    return float(soft_ce(p, q, temperature)[0].mean())
-
-
-def soft_ce_loss_grad(p, q, temperature: float) -> np.ndarray:
-    """d loss / d q for one pair of logit vectors (or a batch)."""
-    return soft_ce(p, q, temperature)[1]
 
 
 def build_vocab_map(corpus, teacher_vocab: int, student_vocab: int) -> dict[int, int]:
@@ -163,19 +160,8 @@ class DistillTrace:
     final_loss: float = 0.0
 
 
-def _inputs(data: LogitDataset, vocab_map) -> tuple[list[list[int]], np.ndarray]:
-    """Student ids (mapped once) and the (records, classes) teacher logits."""
-    return ([apply_vocab_map(r.token_ids, vocab_map) for r in data.records],
-            np.stack([r.teacher_logits for r in data.records]))
-
-
 def _mean_loss(model: EncoderModel, seqs, targets, temperature: float) -> float:
     return float(soft_ce(targets, nn.predict_logits(model, seqs), temperature)[0].mean())
-
-
-def dataset_loss(model: EncoderModel, data: LogitDataset, params: DistillParams) -> float:
-    """Mean soft cross-entropy of the student over the whole dataset."""
-    return _mean_loss(model, *_inputs(data, params.vocab_map), params.temperature)
 
 
 def distill_train(student_config: ArchConfig, data: LogitDataset,
@@ -187,8 +173,8 @@ def distill_train(student_config: ArchConfig, data: LogitDataset,
     """
     rng = np.random.default_rng(params.rng_seed)
     student = nn.init(student_config, rng, params.dtype)
-    seqs, targets = _inputs(data, params.vocab_map)
-    t = params.temperature
+    seqs = [apply_vocab_map(ids, params.vocab_map) for ids in data.seqs]
+    targets, t = data.logits, params.temperature
 
     trace = DistillTrace(initial_loss=_mean_loss(student, seqs, targets, t))
     trace.epoch_losses = nn.train_loop(
@@ -196,29 +182,3 @@ def distill_train(student_config: ArchConfig, data: LogitDataset,
     trace.final_loss = _mean_loss(student, seqs, targets, t)
     student.vocab_map = params.vocab_map
     return student, trace
-
-
-def agreement(student: EncoderModel, references, eval_ids,
-              vocab_map: dict[int, int] | None = None) -> float:
-    """Fraction of examples where the student argmax matches the reference
-    (see :func:`match_rate`)."""
-    eval_ids = list(eval_ids)
-    references = list(references)
-    if len(eval_ids) != len(references):
-        raise ValueError("eval set and references differ in length")
-    return match_rate(
-        nn.predict_logits(student, [apply_vocab_map(ids, vocab_map) for ids in eval_ids]),
-        references)
-
-
-def match_rate(logits: np.ndarray, references) -> float:
-    """Fraction of rows of ``logits`` whose argmax matches the reference.
-
-    ``references`` is a sequence of integer labels or of teacher logit
-    vectors (argmax is taken per vector), one per row.
-    """
-    labels = [int(np.argmax(ref)) if np.ndim(ref) > 0 else int(ref) for ref in references]
-    if not labels:
-        raise ValueError("empty evaluation set")
-    preds = logits.argmax(-1)
-    return sum(int(p) == label for p, label in zip(preds, labels, strict=True)) / len(labels)

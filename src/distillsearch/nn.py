@@ -5,8 +5,9 @@ the scalar weight count always equals ``estimators.param_count``, an
 instrumented B=1 :func:`forward` tallies exactly ``estimators.forward_flops``
 and a batched pass ``estimators.live_flops`` per sequence.
 Used as both teacher and student at desk scale, so it also holds the one
-engine both run on: :func:`train_loop` (any loss over the logits) and
-:func:`predict_logits` (batched inference in input order).
+engine both run on: :func:`train_loop` (any loss over the logits),
+:func:`predict_logits` (batched inference in input order) and
+:func:`match_rate` (argmax agreement with labels or with another model).
 
 Layout (post-norm BERT-family): token + position embeddings, embedding
 layer-norm, then per layer a bidirectional self-attention block and a
@@ -168,9 +169,6 @@ class EncoderModel:
 
     def __post_init__(self):
         self.weights = _views(self.flat, self.config)
-
-    def num_params(self) -> int:
-        return self.flat.size
 
 
 def init(config: ArchConfig, rng: np.random.Generator | int,
@@ -416,6 +414,19 @@ def predict_logits(model: EncoderModel, seqs) -> np.ndarray:
     for batch in _batches_by_length(range(len(seqs)), [len(ids) for ids in seqs], PREDICT_BATCH):
         logits[batch], _ = forward_batch(model, np.array([seqs[i] for i in batch]))
     return logits
+
+
+def match_rate(logits: np.ndarray, references) -> float:
+    """Fraction of rows of ``logits`` whose argmax matches the reference.
+
+    ``references`` is a sequence of integer labels or of teacher logit
+    vectors (argmax is taken per vector), one per row.
+    """
+    labels = [int(np.argmax(ref)) if np.ndim(ref) > 0 else int(ref) for ref in references]
+    if not labels:
+        raise ValueError("empty evaluation set")
+    preds = logits.argmax(-1)
+    return sum(int(p) == label for p, label in zip(preds, labels, strict=True)) / len(labels)
 
 
 def backward(model: EncoderModel, cache: dict, dlogits: np.ndarray,

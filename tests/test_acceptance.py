@@ -11,7 +11,7 @@ import pytest
 
 from distillsearch import cli, corpus, distill, estimators, gasearch, nn
 from distillsearch.archspace import ArchConfig, default_table1, pretrained_reference
-from distillsearch.distill import DistillParams, soft_ce_loss
+from distillsearch.distill import DistillParams, soft_ce
 from distillsearch.gasearch import Chromosome, GaParams
 
 SPACE = default_table1()
@@ -43,7 +43,7 @@ def pipeline(tmp_path_factory):
     state["corpus"] = data
 
     t0 = time.perf_counter()
-    state["teacher_params"] = corpus.TeacherTrainParams(
+    state["teacher_params"] = nn.TrainParams(
         epochs=TEACHER_EPOCHS, rng_seed=PIPELINE_SEED, dtype=cli.COMPUTE_DTYPE)
     teacher_res = corpus.train_teacher(TEACHER_CONFIG, data.labeled, state["teacher_params"],
                                        val=data.val)
@@ -178,11 +178,11 @@ def test_criterion_6_gradient_fidelity():
 
     def loss_fn():
         logits, _ = nn.forward_batch(model, ids)
-        return float(np.mean([soft_ce_loss(targets[i], logits[i], temperature)
+        return float(np.mean([float(soft_ce(targets[i], logits[i], temperature)[0].mean())
                               for i in range(2)]))
 
     logits, cache = nn.forward_batch(model, ids, want_cache=True)
-    dlogits = distill.soft_ce_loss_grad(targets, logits, temperature) / 2
+    dlogits = soft_ce(targets, logits, temperature)[1] / 2
     grads = nn.backward(model, cache, dlogits)
 
     eps = 1e-4
@@ -208,7 +208,7 @@ def test_criterion_6_gradient_fidelity():
 
 
 def test_criterion_7_loss_analytics():
-    ln2_err = abs(soft_ce_loss([0.0, 0.0], [0.0, 0.0], 1.0) - math.log(2))
+    ln2_err = abs(float(soft_ce([0.0, 0.0], [0.0, 0.0], 1.0)[0].mean()) - math.log(2))
 
     rng = np.random.default_rng(7)
     gibbs_ok = True
@@ -217,7 +217,7 @@ def test_criterion_7_loss_analytics():
         p = rng.normal(scale=5, size=k)
         q = rng.normal(scale=5, size=k)
         t = float(rng.uniform(0.5, 10))
-        if soft_ce_loss(p, q, t) < soft_ce_loss(p, p, t) - 1e-10:
+        if float(soft_ce(p, q, t)[0].mean()) < float(soft_ce(p, p, t)[0].mean()) - 1e-10:
             gibbs_ok = False
             break
 
@@ -226,7 +226,7 @@ def test_criterion_7_loss_analytics():
         for _ in range(200):
             p = rng.uniform(-50, 50, size=3)
             q = rng.uniform(-50, 50, size=3)
-            if not np.isfinite(soft_ce_loss(p, q, t)):
+            if not np.isfinite(float(soft_ce(p, q, t)[0].mean())):
                 nan_free = False
     ok = ln2_err < 1e-9 and gibbs_ok and nan_free
     report("7 (loss analytics)", ok,
@@ -245,11 +245,12 @@ def test_criterion_8_end_to_end_retention(pipeline):
 
     teacher_test = corpus.accuracy(teacher_res.model, data.test)
     test_ids = [ex.ids for ex in data.test]
-    student_test = distill.agreement(student, [ex.label for ex in data.test],
-                                     test_ids, vocab_map)
+    student_logits = nn.predict_logits(
+        student, [distill.apply_vocab_map(ids, vocab_map) for ids in test_ids])
+    student_test = nn.match_rate(student_logits, [ex.label for ex in data.test])
     teacher_preds = [int(np.argmax(nn.forward(teacher_res.model, ids)))
                      for ids in test_ids]
-    agree = distill.agreement(student, teacher_preds, test_ids, vocab_map)
+    agree = nn.match_rate(student_logits, teacher_preds)
 
     ok = (teacher_res.val_accuracy >= 0.95
           and student_mb <= 0.12 * teacher_mb  # budget 10% of teacher, grid-quantized

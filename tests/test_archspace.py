@@ -31,10 +31,10 @@ class TestSearchSpace:
         assert [len(space.grid_values(f)) for f in SEARCHED_FIELDS] == [12, 48, 4, 96, 50]
 
     def test_contains_grid_maxima(self):
-        assert default_table1().contains(make(12, 768, 8, 3072, 50000))
+        assert validate(make(12, 768, 8, 3072, 50000), default_table1()).ok
 
     def test_contains_example_chromosome(self):
-        assert default_table1().contains(make(3, 512, 4, 1024, 10000))
+        assert validate(make(3, 512, 4, 1024, 10000), default_table1()).ok
 
     def test_grid_values_on_grid(self):
         space = default_table1()

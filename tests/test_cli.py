@@ -393,7 +393,11 @@ class TestDamagedArtifacts:
     @pytest.mark.parametrize("damage, argv, code, name", [
         (lambda out: edit_line(out / "logits.ldst", 0, lambda d: d.pop("count")),
          DISTILL, 2, "logits.ldst"),
+        (lambda out: edit_line(out / "logits.ldst", 0, lambda d: d.update(version=2)),
+         DISTILL, 2, "logits.ldst"),
         (lambda out: edit_line(out / "logits.ldst", 1, lambda d: d.pop("ids")),
+         DISTILL, 2, "logits.ldst"),
+        (lambda out: edit_line(out / "logits.ldst", 1, lambda d: d["logits"].append(0.5)),
          DISTILL, 2, "logits.ldst"),
         (lambda out: edit_line(out / "logits.ldst", 1, lambda d: d.update(ids=5)),
          DISTILL, 2, "logits.ldst"),
@@ -413,7 +417,8 @@ class TestDamagedArtifacts:
          ["capture"], 2, "test.jsonl"),
         (lambda out: (out / "arch.json").write_text("5"), DISTILL, 2, "arch.json"),
         (lambda out: (out / "test.jsonl").unlink(), ["capture"], 3, "test.jsonl"),
-    ], ids=["ldst-header-without-count", "ldst-record-without-ids", "ldst-ids-int",
+    ], ids=["ldst-header-without-count", "ldst-version-2", "ldst-record-without-ids",
+            "ldst-logits-wrong-length", "ldst-ids-int",
             "ldst-logit-string", "ldst-logit-nan", "teacher-weight-nan",
             "vocab-map-entry-string",
             "spec-unknown-key", "test-record-without-label", "arch-holds-5",

@@ -5,7 +5,6 @@ from distillsearch.archspace import ArchConfig
 from distillsearch.corpus import (
     Example,
     SyntheticTaskSpec,
-    TeacherTrainParams,
     accuracy,
     generate,
     load_corpus,
@@ -13,6 +12,7 @@ from distillsearch.corpus import (
     save_corpus,
     train_teacher,
 )
+from distillsearch.nn import TrainParams
 
 SMALL_SPEC = SyntheticTaskSpec(vocab_size=200, n_labeled=200, n_unlabeled=200,
                                n_val=100, n_test=100, rng_seed=0)
@@ -104,7 +104,7 @@ class TestTrainTeacher:
     def test_zero_epochs_returns_init_model(self):
         import distillsearch.nn as nn
         data = generate(SMALL_SPEC)
-        params = TeacherTrainParams(epochs=0, rng_seed=5)
+        params = TrainParams(epochs=0, rng_seed=5)
         res = train_teacher(self.CFG, data.labeled, params, val=data.val)
         fresh = nn.init(self.CFG, np.random.default_rng(5))
         for name in fresh.weights:
@@ -112,7 +112,7 @@ class TestTrainTeacher:
 
     def test_loss_decreases_over_epochs(self):
         data = generate(SMALL_SPEC)
-        params = TeacherTrainParams(epochs=3, batch_size=32, rng_seed=0)
+        params = TrainParams(epochs=3, batch_size=32, rng_seed=0)
         res = train_teacher(self.CFG, data.labeled, params, val=data.val)
         assert res.epoch_losses[-1] < res.epoch_losses[0]
 
@@ -132,14 +132,14 @@ class TestTrainTeacher:
 
         monkeypatch.setattr(nn, "init", confident_init)
         examples = [Example([1, 2, 3, 4], 0)] * 4
-        params = TeacherTrainParams(epochs=1, batch_size=4, dtype=np.float32)
+        params = TrainParams(epochs=1, batch_size=4, dtype=np.float32)
         res = train_teacher(self.CFG, examples, params)
         assert res.model.flat.dtype == np.float32
         assert res.epoch_losses == [pytest.approx(120.0)]
 
     def test_empty_labeled_rejected(self):
         with pytest.raises(ValueError):
-            train_teacher(self.CFG, [], TeacherTrainParams())
+            train_teacher(self.CFG, [], TrainParams())
 
     def test_accuracy_empty_set_rejected(self):
         import distillsearch.nn as nn

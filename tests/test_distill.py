@@ -8,17 +8,11 @@ from distillsearch.archspace import ArchConfig
 from distillsearch.distill import (
     DistillParams,
     LogitDataset,
-    LogitRecord,
-    agreement,
     apply_vocab_map,
     build_vocab_map,
     capture_teacher_logits,
-    dataset_loss,
     distill_train,
-    match_rate,
     soft_ce,
-    soft_ce_loss,
-    soft_ce_loss_grad,
 )
 
 TINY = ArchConfig(layers=1, hidden=8, heads=2, ffn=16, vocab=20, max_seq_len=8)
@@ -31,11 +25,12 @@ def softmax(x):
 
 class TestSoftCeLoss:
     def test_uniform_binary_is_ln2(self):
-        assert soft_ce_loss([0.0, 0.0], [0.0, 0.0], 1.0) == pytest.approx(math.log(2), abs=1e-9)
+        assert float(soft_ce([0.0, 0.0], [0.0, 0.0], 1.0)[0].mean()) == pytest.approx(
+            math.log(2), abs=1e-9)
 
     def test_frozen_regression_value(self):
         # high-precision direct evaluation, frozen
-        assert soft_ce_loss([2.0, 0.0], [0.0, 2.0], 2.0) == pytest.approx(
+        assert float(soft_ce([2.0, 0.0], [0.0, 2.0], 2.0)[0].mean()) == pytest.approx(
             4.177281064592911, abs=1e-12)
 
     def test_self_loss_is_scaled_entropy_and_minimum(self):
@@ -45,20 +40,20 @@ class TestSoftCeLoss:
             t = float(rng.uniform(0.5, 5))
             sp = softmax(p / t)
             entropy = -(sp * np.log(sp)).sum()
-            self_loss = soft_ce_loss(p, p, t)
+            self_loss = float(soft_ce(p, p, t)[0].mean())
             assert self_loss == pytest.approx(t * t * entropy, rel=1e-10)
             q = p + rng.normal(scale=2, size=4)
-            assert soft_ce_loss(p, q, t) >= self_loss - 1e-12
+            assert float(soft_ce(p, q, t)[0].mean()) >= self_loss - 1e-12
 
     def test_nonnegative(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             p, q = rng.normal(scale=5, size=(2, 3))
-            assert soft_ce_loss(p, q, float(rng.uniform(0.5, 100))) >= 0.0
+            assert float(soft_ce(p, q, float(rng.uniform(0.5, 100)))[0].mean()) >= 0.0
 
     def test_stable_at_extreme_logits_and_temperatures(self):
         for t in (0.5, 1.0, 10.0, 1000.0):
-            v = soft_ce_loss([50.0, -50.0], [-50.0, 50.0], t)
+            v = float(soft_ce([50.0, -50.0], [-50.0, 50.0], t)[0].mean())
             assert np.isfinite(v)
 
     def test_high_temperature_approaches_uniform(self):
@@ -67,7 +62,7 @@ class TestSoftCeLoss:
         soft = softmax(p / t)
         assert np.allclose(soft, 1 / 3, atol=1e-6)
         # and the loss approaches T^2 * ln(num_classes) for any q of bounded spread
-        v = soft_ce_loss(p, np.array([1.0, 0.0, -1.0]), t) / t**2
+        v = float(soft_ce(p, np.array([1.0, 0.0, -1.0]), t)[0].mean()) / t**2
         assert v == pytest.approx(math.log(3), abs=1e-5)
 
     def test_grad_matches_numeric(self):
@@ -75,12 +70,13 @@ class TestSoftCeLoss:
         p = rng.normal(size=3)
         q = rng.normal(size=3)
         t = 2.5
-        g = soft_ce_loss_grad(p, q, t)
+        g = soft_ce(p, q, t)[1]
         eps = 1e-6
         for i in range(3):
             dq = np.zeros(3)
             dq[i] = eps
-            fd = (soft_ce_loss(p, q + dq, t) - soft_ce_loss(p, q - dq, t)) / (2 * eps)
+            fd = (float(soft_ce(p, q + dq, t)[0].mean())
+                  - float(soft_ce(p, q - dq, t)[0].mean())) / (2 * eps)
             assert g[i] == pytest.approx(fd, abs=1e-6)
 
     def test_batched_rows_match_single_pairs(self):
@@ -88,12 +84,12 @@ class TestSoftCeLoss:
         p, q = rng.normal(scale=2, size=(2, 5, 3))
         loss, grad = soft_ce(p, q, 1.5)
         for i in range(5):
-            assert loss[i] == pytest.approx(soft_ce_loss(p[i], q[i], 1.5), rel=1e-12)
-            assert np.allclose(grad[i], soft_ce_loss_grad(p[i], q[i], 1.5), rtol=1e-12, atol=0)
+            assert loss[i] == pytest.approx(float(soft_ce(p[i], q[i], 1.5)[0].mean()), rel=1e-12)
+            assert np.allclose(grad[i], soft_ce(p[i], q[i], 1.5)[1], rtol=1e-12, atol=0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            soft_ce_loss([0.0, 1.0], [0.0, 1.0, 2.0], 1.0)
+            soft_ce([0.0, 1.0], [0.0, 1.0, 2.0], 1.0)
 
 
 class TestCapture:
@@ -108,16 +104,15 @@ class TestCapture:
         seqs = [[1, 2, 3], [4, 5, 6]]
         a = capture_teacher_logits(teacher, seqs)
         b = capture_teacher_logits(teacher, seqs)
-        for ra, rb in zip(a.records, b.records):
-            assert np.array_equal(ra.teacher_logits, rb.teacher_logits)
+        assert np.array_equal(a.logits, b.logits)
 
     def test_zeroed_classifier_yields_bias(self):
         teacher = nn.init(TINY, 2)
         teacher.weights["cls_w"][:] = 0.0
         teacher.weights["cls_b"][:] = [0.25, -0.75]
         data = capture_teacher_logits(teacher, [[1, 2], [3, 4, 5]])
-        for r in data.records:
-            assert np.allclose(r.teacher_logits, [0.25, -0.75])
+        for row in data.logits:
+            assert np.allclose(row, [0.25, -0.75])
 
     def test_strict_raises_lenient_skips(self):
         teacher = nn.init(TINY, 3)
@@ -133,7 +128,7 @@ class TestCapture:
         with pytest.raises(nn.InvalidInputError):
             capture_teacher_logits(teacher, seqs, strict=True)
         data = capture_teacher_logits(teacher, seqs, strict=False)
-        assert [r.token_ids for r in data.records] == [[1, 2], [3, 4]]
+        assert data.seqs == [[1, 2], [3, 4]]
 
     def test_teacher_weights_untouched(self):
         teacher = nn.init(TINY, 4)
@@ -145,41 +140,65 @@ class TestCapture:
 
 class TestDatasetFile:
     def test_roundtrip(self, tmp_path):
-        records = [LogitRecord([1, 2, 3], np.array([0.5, -0.5])),
-                   LogitRecord([4, 5], np.array([1.5, 2.5]))]
-        data = LogitDataset(records, num_classes=2)
+        data = LogitDataset([[1, 2, 3], [4, 5]], np.array([[0.5, -0.5], [1.5, 2.5]]))
         path = tmp_path / "d.ldst"
         data.save(path)
         loaded = LogitDataset.load(path)
         assert loaded.num_classes == 2
         assert len(loaded) == 2
-        for ra, rb in zip(data.records, loaded.records):
-            assert ra.token_ids == rb.token_ids
-            assert np.array_equal(ra.teacher_logits, rb.teacher_logits)
+        assert loaded.seqs == data.seqs
+        assert np.array_equal(loaded.logits, data.logits)
 
     def test_header_format(self, tmp_path):
         import json
-        data = LogitDataset([LogitRecord([1], np.array([0.0, 1.0]))], num_classes=2)
+        data = LogitDataset([[1]], np.array([[0.0, 1.0]]))
         path = tmp_path / "d.ldst"
         data.save(path)
         header = json.loads(path.read_text().splitlines()[0])
         assert header == {"version": 1, "num_classes": 2, "count": 1}
 
+    def test_save_writes_the_documented_bytes(self, tmp_path):
+        # the header line, then one line per record, floats in their shortest repr
+        data = LogitDataset([[1, 2, 3], np.array([4, 5])],
+                            np.array([[0.1 + 0.2, -1e-7], [3, 2.5e300]]))
+        data.save(tmp_path / "d.ldst")
+        assert (tmp_path / "d.ldst").read_bytes() == (
+            b'{"version": 1, "num_classes": 2, "count": 2}\n'
+            b'{"ids": [1, 2, 3], "logits": [0.30000000000000004, -1e-07]}\n'
+            b'{"ids": [4, 5], "logits": [3.0, 2.5e+300]}\n')
+
+    @pytest.mark.parametrize("header", [
+        {"version": 2, "num_classes": 2, "count": 1},
+        {"version": True, "num_classes": 2, "count": 1},
+        {"num_classes": 2, "count": 1},
+        {"version": 1, "num_classes": 3, "count": 1},
+        {"version": 1, "num_classes": 0, "count": 1},
+        {"version": 1, "num_classes": 2.0, "count": 1},
+    ], ids=["version-2", "version-true", "no-version", "classes-3", "classes-0", "classes-float"])
+    def test_header_rejected_naming_the_file(self, tmp_path, header):
+        import json
+        path = tmp_path / "d.ldst"
+        LogitDataset([[1]], np.array([[0.0, 1.0]])).save(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        with pytest.raises(ValueError, match="d.ldst"):
+            LogitDataset.load(path)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            LogitDataset([], num_classes=2)
+            LogitDataset([], np.empty((0, 2)))
 
     # JSON's NaN and Infinity parse, 1e999 parses as inf, a 400-digit int overflows a float
     @pytest.mark.parametrize("logit", ["NaN", "Infinity", "-Infinity", "1e999", "1" * 400])
     def test_nonfinite_logits_rejected_naming_the_file(self, tmp_path, logit):
         path = tmp_path / "d.ldst"
-        LogitDataset([LogitRecord([1], np.array([0.0, 1.0]))], num_classes=2).save(path)
+        LogitDataset([[1]], np.array([[0.0, 1.0]])).save(path)
         path.write_text(path.read_text().replace("0.0", logit))
         with pytest.raises(ValueError, match="d.ldst"):
             LogitDataset.load(path)
 
     def test_nonfinite_logits_never_written(self, tmp_path):
-        data = LogitDataset([LogitRecord([1], np.array([np.nan, 1.0]))], num_classes=2)
+        data = LogitDataset([[1]], np.array([[np.nan, 1.0]]))
         with pytest.raises(ValueError):
             data.save(tmp_path / "d.ldst")
 
@@ -217,8 +236,8 @@ class TestDistillTrain:
         student, trace = distill_train(TINY, data, params)
         t = params.temperature
         floors = []
-        for r in data.records:
-            sp = softmax(r.teacher_logits / t)
+        for row in data.logits:
+            sp = softmax(row / t)
             floors.append(t * t * -(sp * np.log(sp)).sum())
         floor = float(np.mean(floors))
         assert trace.final_loss <= floor * 1.05
@@ -230,7 +249,7 @@ class TestAgreement:
         rng = np.random.default_rng(0)
         seqs = [rng.integers(1, 20, size=5).tolist() for _ in range(20)]
         refs = [nn.forward(model, ids) for ids in seqs]
-        assert agreement(model, refs, seqs) == 1.0
+        assert nn.match_rate(nn.predict_logits(model, seqs), refs) == 1.0
 
     def test_untrained_model_near_chance_on_balanced_set(self):
         model = nn.init(TINY, 9)
@@ -238,28 +257,19 @@ class TestAgreement:
         seqs = [rng.integers(1, 20, size=5).tolist() for _ in range(1000)]
         # balanced random labels, independent of the inputs
         labels = [i % 2 for i in range(1000)]
-        acc = agreement(model, labels, seqs)
+        acc = nn.match_rate(nn.predict_logits(model, seqs), labels)
         assert abs(acc - 0.5) <= 0.05
 
     def test_empty_eval_set_rejected(self):
         model = nn.init(TINY, 10)
         with pytest.raises(ValueError):
-            agreement(model, [], [])
+            nn.match_rate(nn.predict_logits(model, []), [])
 
-
-    def test_one_pass_gives_both_rates(self):
-        student, teacher = nn.init(TINY, 11), nn.init(TINY, 12)
-        rng = np.random.default_rng(2)
-        seqs = [rng.integers(1, 20, size=int(n)).tolist() for n in rng.integers(3, 9, size=60)]
-        labels = [i % 2 for i in range(60)]
-        teacher_logits = nn.predict_logits(teacher, seqs)
-        logits = nn.predict_logits(student, seqs)
-        assert match_rate(logits, labels) == agreement(student, labels, seqs)
-        assert match_rate(logits, teacher_logits) == agreement(student, teacher_logits, seqs)
+    def test_references_of_another_length_rejected(self):
+        model = nn.init(TINY, 11)
+        logits = nn.predict_logits(model, [[1, 2, 3], [4, 5, 6]])
         with pytest.raises(ValueError):
-            match_rate(logits, labels[:-1])
-        with pytest.raises(ValueError):
-            match_rate(logits[:0], [])
+            nn.match_rate(logits, [0])
 
 
 class TestVocabMap:
@@ -281,9 +291,9 @@ def test_dataset_loss_matches_manual_mean():
     seqs = [rng.integers(1, 20, size=4).tolist() for _ in range(10)]
     data = capture_teacher_logits(teacher, seqs)
     student = nn.init(TINY, 12)
-    params = DistillParams(temperature=3.0, batch_size=4)
     manual = np.mean([
-        soft_ce_loss(r.teacher_logits, nn.forward(student, r.token_ids), 3.0)
-        for r in data.records
+        float(soft_ce(row, nn.forward(student, ids), 3.0)[0].mean())
+        for ids, row in zip(data.seqs, data.logits)
     ])
-    assert dataset_loss(student, data, params) == pytest.approx(float(manual), rel=1e-12)
+    dataset_loss = float(soft_ce(data.logits, nn.predict_logits(student, data.seqs), 3.0)[0].mean())
+    assert dataset_loss == pytest.approx(float(manual), rel=1e-12)
