@@ -224,11 +224,13 @@ def cmd_distill(args) -> dict:
 
 
 def _bench_model(model, sequences, repeats):
+    """Each repeat's mean seconds per sequence on the live path the CLI infers
+    with, one sequence per :func:`nn.forward_batch` call."""
     means = []
     for _ in range(repeats):
         start = time.perf_counter()
         for ids in sequences:
-            nn.forward(model, ids)
+            nn.forward_batch(model, np.array([ids]))
         means.append((time.perf_counter() - start) / len(sequences))
     return means
 

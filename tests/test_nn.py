@@ -459,6 +459,32 @@ class TestKernelBits:
         assert np.array_equal(nn._gelu_grad(x, phi), reference)
 
 
+class TestGelu:
+    def test_float32_normal_cdf_against_float64(self):
+        # A&S 7.1.26 without scipy; x^2 of 1e-30 underflows, which is harmless
+        from scipy.special import ndtr
+        special = [0.0, -0.0, 1e-30, -1e-30, 1e30, -1e30, np.inf, -np.inf, np.nan]
+        x = np.concatenate([np.linspace(-12.0, 12.0, 480_001), special]).astype(np.float32)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            phi = nn._normal_cdf(x)
+        assert phi.dtype == np.float32
+        finite = ~np.isnan(x)
+        assert np.isnan(phi[~finite]).all()
+        assert phi[finite].min() >= 0.0 and phi[finite].max() <= 1.0
+        assert np.abs(phi[finite] - ndtr(x[finite].astype(np.float64))).max() <= 3e-7
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(7, 24, 512), (64, 1, 2688), (5, 13, 2688)])
+    def test_blocks_give_the_bits_of_one_sequence_at_a_time(self, shape, dtype):
+        # blocks of 2, 12 and 1 sequences: the first two batches end in a short
+        # block, and 13 x 2688 is more than one block on its own
+        x = np.random.default_rng(3).normal(scale=3.0, size=shape).astype(dtype)
+        reference = np.stack([xs * nn._normal_cdf(xs) for xs in x])
+        got = nn._gelu(x)
+        assert got.dtype == dtype and np.array_equal(got, reference)
+        assert nn._gelu(x, out=x) is x and np.array_equal(x, reference)
+
+
 def traced(fn, *args, **kwargs):
     """``fn``'s result, the most bytes it held at once beyond what was live
     before the call, and the bytes still held when it returned."""
@@ -478,24 +504,25 @@ class TestPeakMemory:
 
     CFG = cli.DEFAULT_TEACHER
 
-    def test_inference_pass_holds_one_ffn_array_and_a_few_hidden_ones(self):
+    def test_inference_pass_holds_one_ffn_array_and_a_few_hidden_ones(self, dtype=np.float64):
         B, s = 64, 24
-        model = nn.init(self.CFG, 30)
+        model = nn.init(self.CFG, 30, dtype)
         ids = np.random.default_rng(30).integers(0, self.CFG.vocab, size=(B, s))
-        nn.forward_batch(model, ids[:1])  # the lazy import of erf, outside the trace
+        nn.forward_batch(model, ids[:1])  # float64's lazy erf import, untraced
         _, peak, _ = traced(nn.forward_batch, model, ids)
-        hidden = B * s * self.CFG.hidden * 8
-        ffn = B * s * self.CFG.ffn * 8
+        itemsize = np.dtype(dtype).itemsize
+        hidden = B * s * self.CFG.hidden * itemsize
+        ffn = B * s * self.CFG.ffn * itemsize
         # the FFN holds its input, u and its output; attention holds x, q, k, v,
         # the scores, the context and its output: never both sub-blocks at once
         assert peak < ffn + 4 * hidden
 
-    def test_training_step_never_holds_two_caches(self):
+    def test_training_step_never_holds_two_caches(self, dtype=np.float64):
         B, s = 32, 24
-        model = nn.init(self.CFG, 31)
+        model = nn.init(self.CFG, 31, dtype)
         rng = np.random.default_rng(31)
         seqs = rng.integers(0, self.CFG.vocab, size=(2 * B, s)).tolist()
-        nn.forward_batch(model, np.array(seqs[:1]))  # the lazy import of erf, outside the trace
+        nn.forward_batch(model, np.array(seqs[:1]))  # float64's lazy erf import, untraced
         (logits, cache), _, cache_bytes = traced(nn.forward_batch, model, np.array(seqs[:B]),
                                                  want_cache=True)
         grad = np.empty_like(model.flat)
@@ -505,11 +532,20 @@ class TestPeakMemory:
         def loss_and_grad(batch, logits):
             return np.zeros(len(batch)), np.ones_like(logits)
 
-        params = nn.TrainParams(epochs=1, batch_size=B)
+        params = nn.TrainParams(epochs=1, batch_size=B, dtype=dtype)
         _, peak, _ = traced(nn.train_loop, model, rng, seqs, loss_and_grad, params)
-        grad_and_adam = 3 * model.flat.nbytes + 2 * nn.ADAM_CHUNK * 8
+        itemsize = np.dtype(dtype).itemsize
+        grad_and_adam = 3 * model.flat.nbytes + 2 * nn.ADAM_CHUNK * itemsize
         # one (B, s, hidden) array of slack for the batch's ids, logits and loss
-        assert peak < cache_bytes + backward_peak + grad_and_adam + B * s * self.CFG.hidden * 8
+        assert peak < (cache_bytes + backward_peak + grad_and_adam
+                       + B * s * self.CFG.hidden * itemsize)
+
+    # the same bounds at 4 bytes an element (pytest passes no default argument)
+    def test_inference_pass_in_float32(self):
+        self.test_inference_pass_holds_one_ffn_array_and_a_few_hidden_ones(np.float32)
+
+    def test_training_step_in_float32(self):
+        self.test_training_step_never_holds_two_caches(np.float32)
 
 
 class TestAdam:
