@@ -18,7 +18,7 @@ structure of the fitness instead:
 
 * vocab repair: ``vocab`` does not enter the FLOPs and enters the size
   linearly, so given the other four genes the best vocab is the grid
-  value whose size lands nearest the target (:func:`repair_vocab`).
+  value whose size lands nearest the target (:func:`_nearest_vocab`).
   Every initial chromosome and every child is repaired before scoring.
 * distinct survivors: the merged pool is ranked over distinct
   chromosomes; duplicates fill the population only when there are
@@ -63,9 +63,6 @@ class Chromosome(NamedTuple):
     heads: int
     ffn: int
     vocab: int
-
-    def genes(self) -> tuple[int, ...]:
-        return tuple(self)
 
     def to_config(self, max_seq_len: int = 512, num_classes: int = 2) -> ArchConfig:
         return ArchConfig(layers=self.layers, hidden=self.hidden, heads=self.heads,
@@ -149,11 +146,6 @@ def random_chromosome(space: SearchSpace, rng: np.random.Generator) -> Chromosom
                                  for values in map(space.grid_values, GENE_ORDER))
 
 
-def random_initialization(space: SearchSpace, params: GaParams,
-                          rng: np.random.Generator) -> list[Chromosome]:
-    return [random_chromosome(space, rng) for _ in range(params.population_size)]
-
-
 def crossover(c1: Chromosome, c2: Chromosome, rng: np.random.Generator) -> Chromosome:
     """Keep c1's genes up to a random cut, take c2's after it."""
     h = int(rng.integers(1, len(GENE_ORDER)))  # 1..4; h=5 would copy c1
@@ -179,19 +171,6 @@ def mutation(c1: Chromosome, space: SearchSpace, rng: np.random.Generator) -> Ch
     return Chromosome._make(genes)
 
 
-def selection(merged: list[tuple[Chromosome, float]],
-              params: GaParams) -> list[tuple[Chromosome, float]]:
-    """Top population_size by fitness; ties by size gap, then gene order."""
-    if len(merged) < params.population_size:
-        raise ValueError("merged pool smaller than population_size")
-
-    def gap(c: Chromosome) -> float:
-        return _fitness_gap(c.to_config(params.max_seq_len, params.num_classes), params)[1]
-
-    ranked = sorted(merged, key=lambda it: (-it[1], gap(it[0]), it[0]))
-    return ranked[: params.population_size]
-
-
 def _nearest_vocab(config, space: SearchSpace, params: GaParams) -> np.ndarray:
     """The grid vocab whose model size lands nearest the target, for the other
     genes of ``config`` (ints or broadcast arrays). The size is linear in vocab,
@@ -211,17 +190,11 @@ def _nearest_vocab(config, space: SearchSpace, params: GaParams) -> np.ndarray:
     return (grid.lower + j * grid.step).astype(np.int64)
 
 
-def repair_vocab(c: Chromosome, space: SearchSpace, params: GaParams) -> Chromosome:
-    """``c`` with the grid vocab whose model size lands nearest the target."""
-    vocab = _nearest_vocab(c.to_config(params.max_seq_len, params.num_classes), space, params)
-    return Chromosome(c.layers, c.hidden, c.heads, c.ffn, int(vocab))
-
-
 def _survivors(merged: list, params: GaParams) -> tuple[list, int]:
     """The ``population_size`` best distinct ``(-fitness, gap, chromosome)``
-    items of ``merged``, which sort as :func:`selection` ranks, and how many
-    of them are distinct; copies of the best fill the population only when
-    too few are distinct."""
+    items of ``merged``, which sort by fitness, then size gap, then gene order,
+    and how many of them are distinct; copies of the best fill the population
+    only when too few are distinct."""
     ranked, n = sorted(merged), params.population_size
     distinct = list(dict.fromkeys(ranked))
     return (distinct + ranked)[:n], min(len(distinct), n)
@@ -237,7 +210,7 @@ def search(space: SearchSpace, params: GaParams) -> GaResult:
         smallest.to_config(params.max_seq_len, params.num_classes)).megabytes
     if floor_mb > params.target_size_mb:
         raise ValueError(f"no architecture fits {params.target_size_mb:g} MB: the smallest, "
-                         f"{smallest.genes()} at max_seq_len {params.max_seq_len}, "
+                         f"{tuple(smallest)} at max_seq_len {params.max_seq_len}, "
                          f"takes {floor_mb:.3f} MB")
     rng = np.random.default_rng(params.rng_seed)
     start = time.perf_counter()
@@ -272,7 +245,8 @@ def search(space: SearchSpace, params: GaParams) -> GaResult:
             return crossover(scored[i][2], scored[j + (j >= i)][2], rng)  # distinct parents
         return mutation(scored[rng.integers(params.population_size)][2], space, rng)
 
-    scored, _ = _survivors(evaluate(random_initialization(space, params, rng)), params)
+    initial = [random_chromosome(space, rng) for _ in range(params.population_size)]
+    scored, _ = _survivors(evaluate(initial), params)
     history, median_history, distinct_history = [], [], []
     for _ in range(params.max_iter):
         children = evaluate([child() for _ in range(params.child_size)])

@@ -81,12 +81,9 @@ class FlopCounter:
         self.flops = 0
 
     def add_matmul(self, a_shape, b_shape):
-        m, k = a_shape[-2], a_shape[-1]
-        n = b_shape[-1]
-        batch = 1
-        for dim in a_shape[:-2]:
-            batch *= dim
-        self.flops += 2 * batch * m * k * n
+        """Count ``a @ b`` for ``a`` of ``a_shape`` (its leading axes all rows)
+        and ``b`` of ``b_shape``."""
+        self.flops += 2 * math.prod(a_shape[:-1]) * a_shape[-1] * b_shape[-1]
 
 
 def matmul(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
@@ -94,60 +91,36 @@ def matmul(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None) -> 
     as one GEMM over all rows of ``a``'s leading axes, where numpy would run one
     small GEMM per sequence; a single sequence's product already is one GEMM."""
     if counter is not None:
-        a_shape = a.shape if a.ndim >= 2 else (1, a.shape[0])
-        counter.add_matmul(a_shape, b.shape)
+        counter.add_matmul(a.shape, b.shape)
     if b.ndim == 2 and a.ndim == 3 and len(a) > 1:
         return (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[-1])
     return a @ b
 
 
-def layer_weight_names(i: int) -> list[str]:
-    p = f"layer{i}."
-    return [
-        p + "q_w", p + "q_b", p + "k_w", p + "k_b",
-        p + "v_w", p + "v_b", p + "o_w", p + "o_b",
-        p + "attn_ln_g", p + "attn_ln_b",
-        p + "ffn_up_w", p + "ffn_up_b", p + "ffn_down_w", p + "ffn_down_b",
-        p + "ffn_ln_g", p + "ffn_ln_b",
-    ]
+@functools.lru_cache(maxsize=32)
+def _layout(config: ArchConfig) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
+    """(name, shape, start, stop) of each tensor in a flat buffer, in buffer order:
+    the one definition of the weights a config implies."""
+    h, d, c = config.hidden, config.ffn, config.num_classes
+    tensors = [("tok_emb", (config.vocab, h)), ("pos_emb", (config.max_seq_len, h)),
+               ("emb_ln_g", (h,)), ("emb_ln_b", (h,))]
+    for i in range(config.layers):
+        tensors += [(f"layer{i}.{name}", shape) for name, shape in (
+            ("q_w", (h, h)), ("q_b", (h,)), ("k_w", (h, h)), ("k_b", (h,)),
+            ("v_w", (h, h)), ("v_b", (h,)), ("o_w", (h, h)), ("o_b", (h,)),
+            ("attn_ln_g", (h,)), ("attn_ln_b", (h,)),
+            ("ffn_up_w", (h, d)), ("ffn_up_b", (d,)), ("ffn_down_w", (d, h)), ("ffn_down_b", (h,)),
+            ("ffn_ln_g", (h,)), ("ffn_ln_b", (h,)))]
+    tensors += [("pooler_w", (h, h)), ("pooler_b", (h,)), ("cls_w", (h, c)), ("cls_b", (c,))]
+    layout, stop = [], 0
+    for name, shape in tensors:
+        start, stop = stop, stop + math.prod(shape)
+        layout.append((name, shape, start, stop))
+    return tuple(layout)
 
 
 def weight_names(config: ArchConfig) -> list[str]:
-    names = ["tok_emb", "pos_emb", "emb_ln_g", "emb_ln_b"]
-    for i in range(config.layers):
-        names.extend(layer_weight_names(i))
-    names.extend(["pooler_w", "pooler_b", "cls_w", "cls_b"])
-    return names
-
-
-def _weight_shape(name: str, config: ArchConfig) -> tuple[int, ...]:
-    h, d = config.hidden, config.ffn
-    base = name.split(".")[-1]
-    shapes = {
-        "tok_emb": (config.vocab, h),
-        "pos_emb": (config.max_seq_len, h),
-        "emb_ln_g": (h,), "emb_ln_b": (h,),
-        "q_w": (h, h), "q_b": (h,), "k_w": (h, h), "k_b": (h,),
-        "v_w": (h, h), "v_b": (h,), "o_w": (h, h), "o_b": (h,),
-        "attn_ln_g": (h,), "attn_ln_b": (h,),
-        "ffn_up_w": (h, d), "ffn_up_b": (d,),
-        "ffn_down_w": (d, h), "ffn_down_b": (h,),
-        "ffn_ln_g": (h,), "ffn_ln_b": (h,),
-        "pooler_w": (h, h), "pooler_b": (h,),
-        "cls_w": (h, config.num_classes), "cls_b": (config.num_classes,),
-    }
-    return shapes[base]
-
-
-@functools.lru_cache(maxsize=32)
-def _layout(config: ArchConfig) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
-    """(name, shape, start, stop) of each tensor in a flat buffer, in weight_names order."""
-    layout, stop = [], 0
-    for name in weight_names(config):
-        shape = _weight_shape(name, config)
-        start, stop = stop, stop + int(np.prod(shape))
-        layout.append((name, shape, start, stop))
-    return tuple(layout)
+    return [name for name, *_ in _layout(config)]
 
 
 def _compute_dtype(dtype) -> np.dtype:
@@ -730,7 +703,8 @@ def read_artifact(path, parse):
 def load_checkpoint(path, dtype=np.float64) -> EncoderModel:
     """Read a checkpoint written by :func:`save_checkpoint` into a ``dtype`` model;
     raise ValueError unless its header lists exactly the tensors its config
-    implies, the payload holds exactly their bytes and every weight is finite."""
+    implies, its vocab map sends every id into the config's vocab, the payload
+    holds exactly their bytes and every weight is finite."""
     dtype = _compute_dtype(dtype)
 
     def parse(raw: bytes) -> EncoderModel:
@@ -745,6 +719,10 @@ def load_checkpoint(path, dtype=np.float64) -> EncoderModel:
             vocab_map = dict(vocab_map)
             if not all(type(i) is int for i in (*vocab_map, *vocab_map.values())):
                 raise ValueError("vocab map entries must be pairs of integers")
+            bad = [v for v in vocab_map.values() if not 0 <= v < config.vocab]
+            if bad:
+                raise ValueError(f"vocab map sends a token to {bad[0]}, "
+                                 f"outside vocab of size {config.vocab}")
         layout = _layout(config)
         if tensors != [(name, shape) for name, shape, *_ in layout]:
             raise ValueError("header tensors do not match its config")

@@ -412,6 +412,12 @@ class TestDamagedArtifacts:
         (lambda out: edit_line(out / "student.ckpt", 1,
                                lambda d: d["vocab_map"][0].__setitem__(1, "7")),
          BENCH, 2, "student.ckpt"),
+        (lambda out: edit_line(out / "student.ckpt", 1,
+                               lambda d: d["vocab_map"][0].__setitem__(1, 999)),
+         BENCH, 2, "student.ckpt"),
+        (lambda out: edit_line(out / "student.ckpt", 1,
+                               lambda d: d["vocab_map"][0].__setitem__(1, -3)),
+         BENCH, 2, "student.ckpt"),
         (add_spec_key, ["capture"], 2, "task_spec.json"),
         (lambda out: edit_line(out / "test.jsonl", 0, lambda d: d.pop("label")),
          ["capture"], 2, "test.jsonl"),
@@ -420,7 +426,7 @@ class TestDamagedArtifacts:
     ], ids=["ldst-header-without-count", "ldst-version-2", "ldst-record-without-ids",
             "ldst-logits-wrong-length", "ldst-ids-int",
             "ldst-logit-string", "ldst-logit-nan", "teacher-weight-nan",
-            "vocab-map-entry-string",
+            "vocab-map-entry-string", "vocab-map-target-999", "vocab-map-target-negative",
             "spec-unknown-key", "test-record-without-label", "arch-holds-5",
             "test-split-missing"])
     def test_exit_code_names_the_file(self, damaged, capsys, damage, argv, code, name):

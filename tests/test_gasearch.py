@@ -6,21 +6,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distillsearch import estimators
+from distillsearch import estimators, gasearch
 from distillsearch.archspace import ArchConfig, GridRange, SearchSpace, default_table1, validate
 from distillsearch.gasearch import (
     Chromosome,
     GaParams,
+    _nearest_vocab,
     crossover,
     fitness,
     mutation,
-    random_initialization,
-    repair_vocab,
+    random_chromosome,
     search,
-    selection,
 )
 
 SPACE = default_table1()
+SMALL_SPACE = SearchSpace(layers=GridRange(1, 3, 1), hidden=GridRange(16, 64, 16),
+                          heads=(1, 2, 8), ffn=GridRange(32, 128, 32),
+                          vocab=GridRange(1000, 5000, 1000))
+
+
+def initial_population(n, rng):
+    """The ``n`` chromosomes ``search`` draws first in ``SPACE`` from a fresh ``rng``."""
+    return [random_chromosome(SPACE, rng) for _ in range(n)]
+
+
+def nearest_vocab(c, space, params):
+    """The vocab ``search`` gives ``c``, from its other genes."""
+    return int(_nearest_vocab(c.to_config(params.max_seq_len, params.num_classes), space, params))
 
 
 class FixedCut:
@@ -37,13 +49,13 @@ class TestChromosome:
     def test_fields_and_genes(self):
         c = Chromosome(3, 512, 4, 1024, 10000)
         assert (c.layers, c.hidden, c.heads, c.ffn, c.vocab) == (3, 512, 4, 1024, 10000)
-        assert c.genes() == (3, 512, 4, 1024, 10000)
-        assert type(c.genes()) is tuple
+        assert c == (3, 512, 4, 1024, 10000)
+        assert isinstance(c, tuple)
 
     def test_from_genes_turns_numpy_ints_into_int(self):
         c = Chromosome.from_genes(np.array([3, 512, 4, 1024, 10000], dtype=np.int64))
         assert c == Chromosome(3, 512, 4, 1024, 10000)
-        assert all(type(g) is int for g in c.genes())
+        assert all(type(g) is int for g in c)
 
     def test_hash_and_equality(self):
         a, b = Chromosome(3, 512, 4, 1024, 10000), Chromosome.from_genes([3, 512, 4, 1024, 10000])
@@ -86,20 +98,18 @@ class TestFitness:
 
 class TestRandomInitialization:
     def test_deterministic_by_seed(self):
-        params = GaParams(population_size=20)
-        a = random_initialization(SPACE, params, np.random.default_rng(7))
-        b = random_initialization(SPACE, params, np.random.default_rng(7))
+        a = initial_population(20, np.random.default_rng(7))
+        b = initial_population(20, np.random.default_rng(7))
         assert a == b
 
     def test_all_valid(self):
-        pop = random_initialization(SPACE, GaParams(population_size=100),
-                                    np.random.default_rng(0))
+        pop = initial_population(100, np.random.default_rng(0))
         for c in pop:
             assert validate(c.to_config(), SPACE).ok
 
     def test_heads_sampled_uniformly(self):
         rng = np.random.default_rng(0)
-        pop = random_initialization(SPACE, GaParams(population_size=10_000), rng)
+        pop = initial_population(10_000, rng)
         for value in (1, 2, 4, 8):
             freq = sum(c.heads == value for c in pop) / len(pop)
             assert abs(freq - 0.25) <= 0.02
@@ -123,7 +133,7 @@ class TestCrossover:
         c2 = Chromosome(6, 256, 8, 2048, 20000)
         for _ in range(1000):
             child = crossover(c1, c2, rng)
-            for g, g1, g2 in zip(child.genes(), c1.genes(), c2.genes()):
+            for g, g1, g2 in zip(child, c1, c2):
                 assert g in (g1, g2)
 
 
@@ -135,7 +145,7 @@ class TestMutation:
         for h in (1, 2, 3, 4):
             scripted = FixedCut([h] + [0] * (5 - h))
             child = mutation(c, SPACE, scripted)
-            assert child.genes()[:h] == c.genes()[:h]
+            assert child[:h] == c[:h]
 
     def test_always_valid(self):
         rng = np.random.default_rng(3)
@@ -146,36 +156,7 @@ class TestMutation:
     def test_cut_at_four_changes_only_vocab(self):
         c = Chromosome(3, 512, 4, 1024, 10000)
         child = mutation(c, SPACE, FixedCut([4, 25]))
-        assert child.genes()[:4] == c.genes()[:4]
-
-
-class TestSelection:
-    def test_sorted_exact_size_identity(self):
-        params = GaParams(population_size=3)
-        pop = [Chromosome(L, 64, 2, 128, 1000) for L in (6, 4, 2)]
-        scored = [(c, fitness(c, params)) for c in pop]
-        scored.sort(key=lambda it: -it[1])
-        assert selection(list(scored), params) == scored
-
-    def test_top_k_dominates_discarded(self):
-        params = GaParams(population_size=5, target_size_mb=3.0)
-        rng = np.random.default_rng(4)
-        pop = random_initialization(SPACE, GaParams(population_size=20), rng)
-        scored = [(c, fitness(c, params)) for c in pop]
-        kept = selection(scored, params)
-        discarded = [it for it in scored if it not in kept]
-        assert min(f for _, f in kept) >= max(f for _, f in discarded)
-
-    def test_duplicates_retained(self):
-        params = GaParams(population_size=4)
-        c = Chromosome(3, 512, 4, 1024, 10000)
-        scored = [(c, fitness(c, params))] * 4 + [(Chromosome(1, 16, 1, 32, 1000), -1e9)]
-        kept = selection(scored, params)
-        assert kept.count((c, scored[0][1])) == 4
-
-    def test_pool_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            selection([(Chromosome(1, 16, 1, 32, 1000), 0.0)], GaParams())
+        assert child[:4] == c[:4]
 
 
 class TestRepairVocab:
@@ -184,32 +165,40 @@ class TestRepairVocab:
                    Chromosome(1, 16, 1, 2688, 7000), Chromosome(6, 144, 4, 32, 1000)]
 
     @staticmethod
-    def nearest_by_scan(c, params):
+    def nearest_by_scan(c, params, space=SPACE):
         def gap(vocab):
             cfg = Chromosome(c.layers, c.hidden, c.heads, c.ffn, vocab).to_config(
                 params.max_seq_len, params.num_classes)
             return abs(estimators.model_size(cfg).megabytes - params.target_size_mb)
-        return min(SPACE.grid_values("vocab"), key=gap)  # first minimum: smaller vocab
+        return min(space.grid_values("vocab"), key=gap)  # first minimum: smaller vocab
 
     @pytest.mark.parametrize("target", [0.05, 0.408, 3.0, 25.0, 50.0, 500.0])
     def test_matches_brute_force_nearest_size(self, target):
         params = GaParams(target_size_mb=target)
         for c in self.CHROMOSOMES:
-            repaired = repair_vocab(c, SPACE, params)
-            assert repaired.genes()[:4] == c.genes()[:4]
-            assert repaired.vocab == self.nearest_by_scan(c, params)
+            assert nearest_vocab(c, SPACE, params) == self.nearest_by_scan(c, params)
 
     def test_clips_to_grid_ends(self):
         small, large = Chromosome(1, 16, 1, 32, 9000), Chromosome(12, 768, 8, 3072, 9000)
-        assert repair_vocab(small, SPACE, GaParams(target_size_mb=1e-3)).vocab == 1000
-        assert repair_vocab(small, SPACE, GaParams(target_size_mb=1e3)).vocab == 50000
-        assert repair_vocab(large, SPACE, GaParams(target_size_mb=3.0)).vocab == 1000
+        assert nearest_vocab(small, SPACE, GaParams(target_size_mb=1e-3)) == 1000
+        assert nearest_vocab(small, SPACE, GaParams(target_size_mb=1e3)) == 50000
+        assert nearest_vocab(large, SPACE, GaParams(target_size_mb=3.0)) == 1000
 
     def test_pipeline_context(self):
         params = GaParams(target_size_mb=0.408, fitness_seq_len=24, max_seq_len=32)
-        rng = np.random.default_rng(5)
-        for c in random_initialization(SPACE, GaParams(population_size=200), rng):
-            assert repair_vocab(c, SPACE, params).vocab == self.nearest_by_scan(c, params)
+        for c in initial_population(200, np.random.default_rng(5)):
+            assert nearest_vocab(c, SPACE, params) == self.nearest_by_scan(c, params)
+
+    @pytest.mark.parametrize("space, params", [
+        (SPACE, GaParams(target_size_mb=0.408, fitness_seq_len=24, max_seq_len=32)),
+        (SPACE, GaParams(target_size_mb=3.0)),
+        (SPACE, GaParams(target_size_mb=25.0)),
+        (SMALL_SPACE, GaParams(target_size_mb=0.408, fitness_seq_len=24, max_seq_len=32,
+                               population_size=10, max_iter=20, child_size=10)),
+    ], ids=["0.408MB", "3MB", "25MB", "small-space"])
+    def test_search_population_carries_the_nearest_vocab(self, space, params):
+        for c in search(space, params).population:
+            assert c.vocab == self.nearest_by_scan(c, params, space)
 
 
 class TestSearch:
@@ -275,6 +264,27 @@ class TestSearch:
         assert doc["median_history"] == res.median_history
         assert doc["distinct_history"] == res.distinct_history
 
+    def test_every_survivor_carries_its_own_fitness(self, monkeypatch):
+        # the table's score of each survivor, every generation, against
+        # fitness() and the size gap taken on the chromosome alone
+        survivors, seen = gasearch._survivors, []
+
+        def spy(merged, params):
+            kept, n_distinct = survivors(merged, params)
+            seen.append(kept)
+            return kept, n_distinct
+
+        monkeypatch.setattr(gasearch, "_survivors", spy)
+        p = self.SMALL
+        res = search(SPACE, p)
+        assert len(seen) == p.max_iter + 1
+        assert [c for _, _, c in seen[-1]] == res.population
+        for kept in seen:
+            for rank, gap, c in kept:
+                size = estimators.model_size(c.to_config(p.max_seq_len, p.num_classes))
+                assert -rank == fitness(c, p)
+                assert gap == abs(size.megabytes - p.target_size_mb)
+
     def test_distinct_count_below_population_in_a_small_space(self):
         # two repaired chromosomes exist here, fewer than the population of 4
         space = SearchSpace(layers=GridRange(1, 1, 1), hidden=GridRange(16, 16, 16),
@@ -306,21 +316,18 @@ class TestSearch:
 
 
 class TestOptimum:
-    SMALL_SPACE = SearchSpace(layers=GridRange(1, 3, 1), hidden=GridRange(16, 64, 16),
-                              heads=(1, 2, 8), ffn=GridRange(32, 128, 32),
-                              vocab=GridRange(1000, 5000, 1000))
-
     @pytest.mark.parametrize("target", [0.1, 0.408, 2.0])
     def test_is_the_brute_force_best(self, target):
         params = GaParams(target_size_mb=target, fitness_seq_len=24, max_seq_len=32,
                           population_size=4, max_iter=2, child_size=4)
         grid = [Chromosome(*genes) for genes in itertools.product(
-            *(self.SMALL_SPACE.grid_values(f) for f in ("layers", "hidden", "heads", "ffn",
+            *(SMALL_SPACE.grid_values(f) for f in ("layers", "hidden", "heads", "ffn",
                                                         "vocab")))
                 if genes[1] % genes[2] == 0]
         best = max(fitness(c, params) for c in grid)
-        repaired = max(fitness(repair_vocab(c, self.SMALL_SPACE, params), params) for c in grid)
-        res = search(self.SMALL_SPACE, params)
+        repaired = max(fitness(c._replace(vocab=nearest_vocab(c, SMALL_SPACE, params)), params)
+                       for c in grid)
+        res = search(SMALL_SPACE, params)
         assert res.optimum_fitness == best == repaired
         doc = res.to_dict()
         assert doc["optimum_fitness"] == best
@@ -399,11 +406,11 @@ class TestFrozenTrajectory:
     def test_trajectory_is_frozen(self, case):
         params, best, best_fitness, history, population = self.CASES[case]
         res = search(SPACE, params)
-        assert res.best.genes() == best
+        assert res.best == best
         assert res.best_fitness == best_fitness
         assert res.history == _history(history)
         assert res.n_evaluations == 5050
-        assert [c.genes() for c in res.population] == population
+        assert res.population == population
 
 
 class TestFrozenDigest:
@@ -430,7 +437,7 @@ class TestFrozenDigest:
                                          max_seq_len=max_seq_len, rng_seed=seed))
             doc = res.to_dict()
             h.update(json.dumps({k: doc[k] for k in self.KEYS}, sort_keys=True).encode())
-            h.update(json.dumps([c.genes() for c in res.population]).encode())
+            h.update(json.dumps(res.population).encode())
         assert h.hexdigest() == self.DIGESTS[budget]
 
 

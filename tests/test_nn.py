@@ -79,6 +79,49 @@ class TestInit:
             ArchConfig(layers=1, hidden=10, heads=4, ffn=8, vocab=10)
 
 
+class TestLayout:
+    # distinct sizes, so a swapped axis or a mixed-up width shows
+    TWO_LAYERS = ArchConfig(layers=2, hidden=4, heads=2, ffn=6, vocab=10, max_seq_len=3,
+                            num_classes=3)
+
+    def test_two_layer_names_shapes_and_offsets(self):
+        assert nn._layout(self.TWO_LAYERS) == (
+            ("tok_emb", (10, 4), 0, 40), ("pos_emb", (3, 4), 40, 52),
+            ("emb_ln_g", (4,), 52, 56), ("emb_ln_b", (4,), 56, 60),
+            ("layer0.q_w", (4, 4), 60, 76), ("layer0.q_b", (4,), 76, 80),
+            ("layer0.k_w", (4, 4), 80, 96), ("layer0.k_b", (4,), 96, 100),
+            ("layer0.v_w", (4, 4), 100, 116), ("layer0.v_b", (4,), 116, 120),
+            ("layer0.o_w", (4, 4), 120, 136), ("layer0.o_b", (4,), 136, 140),
+            ("layer0.attn_ln_g", (4,), 140, 144), ("layer0.attn_ln_b", (4,), 144, 148),
+            ("layer0.ffn_up_w", (4, 6), 148, 172), ("layer0.ffn_up_b", (6,), 172, 178),
+            ("layer0.ffn_down_w", (6, 4), 178, 202), ("layer0.ffn_down_b", (4,), 202, 206),
+            ("layer0.ffn_ln_g", (4,), 206, 210), ("layer0.ffn_ln_b", (4,), 210, 214),
+            ("layer1.q_w", (4, 4), 214, 230), ("layer1.q_b", (4,), 230, 234),
+            ("layer1.k_w", (4, 4), 234, 250), ("layer1.k_b", (4,), 250, 254),
+            ("layer1.v_w", (4, 4), 254, 270), ("layer1.v_b", (4,), 270, 274),
+            ("layer1.o_w", (4, 4), 274, 290), ("layer1.o_b", (4,), 290, 294),
+            ("layer1.attn_ln_g", (4,), 294, 298), ("layer1.attn_ln_b", (4,), 298, 302),
+            ("layer1.ffn_up_w", (4, 6), 302, 326), ("layer1.ffn_up_b", (6,), 326, 332),
+            ("layer1.ffn_down_w", (6, 4), 332, 356), ("layer1.ffn_down_b", (4,), 356, 360),
+            ("layer1.ffn_ln_g", (4,), 360, 364), ("layer1.ffn_ln_b", (4,), 364, 368),
+            ("pooler_w", (4, 4), 368, 384), ("pooler_b", (4,), 384, 388),
+            ("cls_w", (4, 3), 388, 400), ("cls_b", (3,), 400, 403),
+        )
+        assert nn.weight_names(self.TWO_LAYERS) == [name for name, *_ in
+                                                    nn._layout(self.TWO_LAYERS)]
+
+    @pytest.mark.parametrize("cfg", [
+        TINY, WIDE, TWO_LAYERS,
+        ArchConfig(layers=12, hidden=768, heads=12, ffn=3072, vocab=50000),
+        ArchConfig(layers=1, hidden=16, heads=1, ffn=2688, vocab=1000, max_seq_len=32),
+    ])
+    def test_buffer_size_is_param_count(self, cfg):
+        layout = nn._layout(cfg)
+        assert layout[-1][-1] == estimators.param_count(cfg)
+        # the tensors tile the buffer: each starts where the one before stops
+        assert [start for _, _, start, _ in layout] == [0] + [stop for *_, stop in layout[:-1]]
+
+
 class TestForward:
     def test_logits_shape_and_finite(self):
         model = nn.init(TINY, 1)
@@ -665,6 +708,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="m.ckpt.*cls_b"):
             nn.load_checkpoint(path)
 
+    @pytest.mark.parametrize("target", [999, 20, -3])
+    def test_vocab_map_target_outside_vocab_rejected_naming_file(self, tmp_path, target):
+        model = nn.init(TINY, 8)  # vocab 20
+        model.vocab_map = {1500: 1, 7: target}
+        path = tmp_path / "m.ckpt"
+        nn.save_checkpoint(model, path)
+        with pytest.raises(ValueError, match=f"m.ckpt.*{target}.*vocab of size 20"):
+            nn.load_checkpoint(path)
+
     @pytest.mark.parametrize("edit", [
         lambda t: t[0].update(name="token_embedding"),   # renamed tensor
         lambda t: t[-1].update(shape=[3]),                # shape off its config
@@ -775,5 +827,6 @@ def test_corrupted_checkpoint_loads_whole_or_raises_value_error(fuzz_checkpoint,
         assert kind != "flip" or pos < payload_start or not finite
         return
     assert kind == "flip" and finite
-    for name in nn.weight_names(model.config):
-        assert model.weights[name].shape == nn._weight_shape(name, model.config)
+    assert model.flat.size == estimators.param_count(model.config)
+    assert [(name, w.shape) for name, w in model.weights.items()] == [
+        (name, shape) for name, shape, *_ in nn._layout(TINY)]
