@@ -103,7 +103,7 @@ def _load_or_generate_corpus(out: Path, seed: int) -> corpus_mod.Corpus:
 # commands
 
 
-def cmd_estimate(args) -> dict:
+def cmd_estimate(args, out: Path) -> dict:
     config = (pretrained_reference() if args.config == "reference"
               else nn.read_artifact(args.config, ArchConfig.from_json))
     if args.space == "table1":
@@ -125,7 +125,7 @@ def cmd_estimate(args) -> dict:
     return {"config": config.to_dict(), "estimate": estimate}
 
 
-def cmd_search(args) -> dict:
+def cmd_search(args, out: Path) -> dict:
     params = gasearch.GaParams(
         population_size=args.population, crossover_rate=args.crossover_rate,
         max_iter=args.iterations, child_size=args.child_size,
@@ -133,7 +133,6 @@ def cmd_search(args) -> dict:
         rng_seed=args.seed, max_seq_len=args.max_seq_len,
         num_classes=args.num_classes)
     result = gasearch.search(default_table1(), params)
-    out = _out_dir(args)
     doc = result.to_dict()
     (out / "ga_result.json").write_text(json.dumps(doc, indent=2))
     (out / "arch.json").write_text(json.dumps(doc["best"], indent=2))
@@ -148,8 +147,7 @@ def cmd_search(args) -> dict:
                           "ga_result": str(out / "ga_result.json")}}
 
 
-def cmd_teach(args) -> dict:
-    out = _out_dir(args)
+def cmd_teach(args, out: Path) -> dict:
     config = nn.read_artifact(args.config, ArchConfig.from_json) if args.config else DEFAULT_TEACHER
     data = _load_or_generate_corpus(out, args.seed)
     params = nn.TrainParams(
@@ -168,8 +166,7 @@ def cmd_teach(args) -> dict:
             "artifacts": {"teacher": str(out / "teacher.ckpt")}}
 
 
-def cmd_capture(args) -> dict:
-    out = _out_dir(args)
+def cmd_capture(args, out: Path) -> dict:
     teacher = nn.load_checkpoint(_require(out / "teacher.ckpt", "teach"), COMPUTE_DTYPE)
     data = _load_or_generate_corpus(out, args.seed)
     dataset = distill_mod.capture_teacher_logits(teacher, data.unlabeled,
@@ -184,8 +181,7 @@ def cmd_capture(args) -> dict:
             "artifacts": {"logits": str(out / "logits.ldst")}}
 
 
-def cmd_distill(args) -> dict:
-    out = _out_dir(args)
+def cmd_distill(args, out: Path) -> dict:
     dataset = distill_mod.LogitDataset.load(_require(out / "logits.ldst", "capture"))
     teacher = nn.load_checkpoint(_require(out / "teacher.ckpt", "teach"), COMPUTE_DTYPE)
     student_config = nn.read_artifact(
@@ -197,8 +193,7 @@ def cmd_distill(args) -> dict:
 
     vocab_map = None
     if student_config.vocab < teacher.config.vocab:
-        vocab_map = distill_mod.build_vocab_map(
-            data.unlabeled, teacher.config.vocab, student_config.vocab)
+        vocab_map = distill_mod.build_vocab_map(data.unlabeled, student_config.vocab)
     params = distill_mod.DistillParams(
         temperature=args.temperature, learning_rate=args.lr, epochs=args.epochs,
         batch_size=args.batch_size, rng_seed=args.seed, vocab_map=vocab_map,
@@ -235,8 +230,7 @@ def _bench_model(model, sequences, repeats):
     return means
 
 
-def cmd_bench(args) -> dict:
-    out = _out_dir(args)
+def cmd_bench(args, out: Path) -> dict:
     ckpts = args.checkpoints or ["teacher.ckpt", "student.ckpt"]
     paths = [_require(out / name, "teach/distill") for name in ckpts]  # an absolute name stays
     data = _load_or_generate_corpus(out, args.seed)
@@ -278,8 +272,7 @@ def cmd_bench(args) -> dict:
     return report
 
 
-def cmd_report(args) -> dict:
-    out = _out_dir(args)
+def cmd_report(args, out: Path) -> dict:
     _require(out / "report.json", "any command")
     doc = _read_report(out)
     print(json.dumps(doc, indent=2))
@@ -356,7 +349,7 @@ def main(argv=None) -> int:
     try:
         out = _out_dir(args)
         previous = _read_report(out)
-        body = args.func(args)
+        body = args.func(args, out)
         report = {"command": args.command, "seed": args.seed,
                   "wall_time_s": time.perf_counter() - start,
                   "provenance": _provenance(), **body}

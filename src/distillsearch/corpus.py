@@ -1,4 +1,4 @@
-"""Synthetic sequence-classification data and the teacher's loss.
+"""Synthetic sequence-classification data and the teacher's training.
 
 Stands in for a full-scale labeled corpus at desk scale: a controllable
 binary rule gives ground-truth labels with an exact re-check oracle.
@@ -7,9 +7,10 @@ bigram occurs (two fixed tokens, adjacent, in order). Generated data is
 split into disjoint labeled / unlabeled / validation / test parts; the
 unlabeled part ships without labels and exists only to query a teacher.
 
-The teacher trains with hard-label cross-entropy through
-:func:`nn.train_loop`, the loop the student shares; :func:`accuracy`
-is :func:`nn.match_rate` on :func:`nn.predict_logits`.
+The teacher trains through :func:`nn.train_loop`, the loop the student
+shares, on :func:`nn.soft_ce`, the loss it shares, with one-hot label rows
+as targets; :func:`accuracy` is :func:`nn.match_rate` on
+:func:`nn.predict_logits`.
 """
 
 from __future__ import annotations
@@ -140,16 +141,9 @@ def train_teacher(config: ArchConfig, labeled: list[Example],
         raise ValueError("labeled split is empty")
     rng = np.random.default_rng(params.rng_seed)
     model = nn.init(config, rng, params.dtype)
-    labels = np.array([ex.label for ex in labeled])
-
-    def cross_entropy(batch, logits):
-        rows, targets = np.arange(len(batch)), labels[batch]
-        probs = nn.softmax(logits)
-        per_example = -np.log(np.clip(probs[rows, targets], 1e-300, None))
-        probs[rows, targets] -= 1.0
-        return per_example, probs
-
-    epoch_losses = nn.train_loop(model, rng, [ex.ids for ex in labeled], cross_entropy, params)
+    onehot = np.eye(config.num_classes)[[ex.label for ex in labeled]]
+    epoch_losses = nn.train_loop(model, rng, [ex.ids for ex in labeled],
+                                 lambda batch, logits: nn.soft_ce(onehot[batch], logits), params)
     val_acc = accuracy(model, val) if val else float("nan")
     return TeacherResult(model, val_accuracy=val_acc, epoch_losses=epoch_losses)
 

@@ -6,10 +6,11 @@ soft cross-entropy
 
     loss(p, q, T) = -T^2 * sum_c softmax(p/T)_c * log softmax(q/T)_c
 
-averaged over records, written once in :func:`soft_ce`. Gradients flow
-to the student logits q only; the teacher stays fixed. The student
-trains through :func:`nn.train_loop`, the teacher's loop with this loss
-in place of hard-label cross-entropy, and every evaluation (capture and
+averaged over records: :func:`nn.soft_ce`, the teacher's own loss, with the
+softened teacher rows softmax(p/T) in place of one-hot labels.
+:func:`distill_train` softens them once per run. Gradients flow to the
+student logits q only; the teacher stays fixed. The student trains through
+:func:`nn.train_loop`, the teacher's loop, and every evaluation (capture and
 the student's losses) runs on :func:`nn.predict_logits`.
 """
 
@@ -122,21 +123,7 @@ def capture_teacher_logits(teacher: EncoderModel, unlabeled,
     return LogitDataset(seqs, nn.predict_logits(teacher, seqs))
 
 
-def soft_ce(p, q, temperature: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-record soft cross-entropy of student logits q against teacher
-    logits p, and its gradient with respect to q."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError("logit vectors must have equal shape")
-    t = float(temperature)
-    soft_targets = np.exp(nn.log_softmax(p / t))
-    log_student = nn.log_softmax(q / t)
-    loss = -(t * t) * (soft_targets * log_student).sum(-1)
-    return loss, t * (np.exp(log_student) - soft_targets)
-
-
-def build_vocab_map(corpus, teacher_vocab: int, student_vocab: int) -> dict[int, int]:
+def build_vocab_map(corpus, student_vocab: int) -> dict[int, int]:
     """Frequency-truncating remap: top student_vocab-1 tokens keep dense
     ids 1.., everything else collapses to the unknown id 0."""
     counts = Counter()
@@ -161,7 +148,7 @@ class DistillTrace:
 
 
 def _mean_loss(model: EncoderModel, seqs, targets, temperature: float) -> float:
-    return float(soft_ce(targets, nn.predict_logits(model, seqs), temperature)[0].mean())
+    return float(nn.soft_ce(targets, nn.predict_logits(model, seqs), temperature)[0].mean())
 
 
 def distill_train(student_config: ArchConfig, data: LogitDataset,
@@ -174,11 +161,12 @@ def distill_train(student_config: ArchConfig, data: LogitDataset,
     rng = np.random.default_rng(params.rng_seed)
     student = nn.init(student_config, rng, params.dtype)
     seqs = [apply_vocab_map(ids, params.vocab_map) for ids in data.seqs]
-    targets, t = data.logits, params.temperature
+    t = params.temperature
+    targets = np.exp(nn.log_softmax(data.logits / t))
 
     trace = DistillTrace(initial_loss=_mean_loss(student, seqs, targets, t))
     trace.epoch_losses = nn.train_loop(
-        student, rng, seqs, lambda batch, logits: soft_ce(targets[batch], logits, t), params)
+        student, rng, seqs, lambda batch, logits: nn.soft_ce(targets[batch], logits, t), params)
     trace.final_loss = _mean_loss(student, seqs, targets, t)
     student.vocab_map = params.vocab_map
     return student, trace

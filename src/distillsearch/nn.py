@@ -6,6 +6,8 @@ instrumented B=1 :func:`forward` tallies exactly ``estimators.forward_flops``
 and a batched pass ``estimators.live_flops`` per sequence.
 Used as both teacher and student at desk scale, so it also holds the one
 engine both run on: :func:`train_loop` (any loss over the logits),
+:func:`soft_ce` (the one loss: cross-entropy against probability rows, one-hot
+for the teacher, the teacher's softened logits for the student),
 :func:`predict_logits` (batched inference in input order) and
 :func:`match_rate` (argmax agreement with labels or with another model).
 
@@ -305,6 +307,23 @@ def softmax(x, out=None):
 def log_softmax(x):
     z = x - x.max(-1, keepdims=True)
     return z - np.log(np.exp(z).sum(-1, keepdims=True))
+
+
+def soft_ce(targets, logits, temperature: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The one training loss: per-row cross-entropy of probability rows ``targets``
+    against ``logits`` softened by T, ``-T^2 * sum targets * log_softmax(logits / T)``,
+    and its gradient with respect to the logits, ``T * (softmax(logits / T) - targets)``.
+
+    One-hot targets at T = 1 give hard-label cross-entropy, the teacher's loss;
+    the teacher's softened logits give the distillation loss (Hinton et al., arXiv
+    1503.02531), the student's. The logits widen to float64."""
+    targets = np.asarray(targets, dtype=np.float64)
+    logits = np.asarray(logits, dtype=np.float64)
+    if targets.shape != logits.shape:
+        raise ValueError("targets and logits must have equal shape")
+    t = float(temperature)
+    log_q = log_softmax(logits / t)
+    return -(t * t) * (targets * log_q).sum(-1), t * (np.exp(log_q) - targets)
 
 
 def token_ids(value) -> list[int]:

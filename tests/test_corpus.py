@@ -116,26 +116,28 @@ class TestTrainTeacher:
         res = train_teacher(self.CFG, data.labeled, params, val=data.val)
         assert res.epoch_losses[-1] < res.epoch_losses[0]
 
-    def test_float32_step_with_an_underflowing_probability_has_a_finite_loss(self,
-                                                                             monkeypatch):
-        # logits [0, 120] give the true class 0 probability exp(-120), about 8e-53:
-        # below float32's smallest subnormal, so its log is finite only because the
-        # loss reads float64 logits
+    # logits [0, gap] give the true class 0 probability exp(-gap): about 8e-53 at 120,
+    # below float32's smallest subnormal, and 0 even in float64 at 800. The loss must
+    # still read the gap, so it cannot be the log of that probability.
+    @pytest.mark.parametrize("dtype, gap", [(np.float32, 120.0), (np.float64, 800.0)],
+                             ids=["float32-gap-120", "float64-gap-800"])
+    def test_float32_step_with_an_underflowing_probability_has_a_finite_loss(
+            self, monkeypatch, dtype, gap):
         import distillsearch.nn as nn
         init = nn.init
 
-        def confident_init(config, rng, dtype):
-            model = init(config, rng, dtype)
+        def confident_init(*args):
+            model = init(*args)
             model.weights["cls_w"][:] = 0.0
-            model.weights["cls_b"][:] = [0.0, 120.0]
+            model.weights["cls_b"][:] = [0.0, gap]
             return model
 
         monkeypatch.setattr(nn, "init", confident_init)
         examples = [Example([1, 2, 3, 4], 0)] * 4
-        params = TrainParams(epochs=1, batch_size=4, dtype=np.float32)
+        params = TrainParams(epochs=1, batch_size=4, dtype=dtype)
         res = train_teacher(self.CFG, examples, params)
-        assert res.model.flat.dtype == np.float32
-        assert res.epoch_losses == [pytest.approx(120.0)]
+        assert res.model.flat.dtype == dtype
+        assert res.epoch_losses == [pytest.approx(gap)]
 
     def test_empty_labeled_rejected(self):
         with pytest.raises(ValueError):

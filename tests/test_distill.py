@@ -12,7 +12,6 @@ from distillsearch.distill import (
     build_vocab_map,
     capture_teacher_logits,
     distill_train,
-    soft_ce,
 )
 
 TINY = ArchConfig(layers=1, hidden=8, heads=2, ffn=16, vocab=20, max_seq_len=8)
@@ -23,14 +22,24 @@ def softmax(x):
     return e / e.sum()
 
 
+def soften(p, temperature):
+    """Teacher logits ``p`` softened by T, as :func:`distill_train` makes its targets."""
+    return np.exp(nn.log_softmax(np.asarray(p, dtype=np.float64) / temperature))
+
+
+def distill_loss(p, q, temperature):
+    """The distillation loss of student logits ``q`` against teacher logits ``p``."""
+    return nn.soft_ce(soften(p, temperature), q, temperature)
+
+
 class TestSoftCeLoss:
     def test_uniform_binary_is_ln2(self):
-        assert float(soft_ce([0.0, 0.0], [0.0, 0.0], 1.0)[0].mean()) == pytest.approx(
+        assert float(distill_loss([0.0, 0.0], [0.0, 0.0], 1.0)[0].mean()) == pytest.approx(
             math.log(2), abs=1e-9)
 
     def test_frozen_regression_value(self):
         # high-precision direct evaluation, frozen
-        assert float(soft_ce([2.0, 0.0], [0.0, 2.0], 2.0)[0].mean()) == pytest.approx(
+        assert float(distill_loss([2.0, 0.0], [0.0, 2.0], 2.0)[0].mean()) == pytest.approx(
             4.177281064592911, abs=1e-12)
 
     def test_self_loss_is_scaled_entropy_and_minimum(self):
@@ -40,20 +49,20 @@ class TestSoftCeLoss:
             t = float(rng.uniform(0.5, 5))
             sp = softmax(p / t)
             entropy = -(sp * np.log(sp)).sum()
-            self_loss = float(soft_ce(p, p, t)[0].mean())
+            self_loss = float(distill_loss(p, p, t)[0].mean())
             assert self_loss == pytest.approx(t * t * entropy, rel=1e-10)
             q = p + rng.normal(scale=2, size=4)
-            assert float(soft_ce(p, q, t)[0].mean()) >= self_loss - 1e-12
+            assert float(distill_loss(p, q, t)[0].mean()) >= self_loss - 1e-12
 
     def test_nonnegative(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             p, q = rng.normal(scale=5, size=(2, 3))
-            assert float(soft_ce(p, q, float(rng.uniform(0.5, 100)))[0].mean()) >= 0.0
+            assert float(distill_loss(p, q, float(rng.uniform(0.5, 100)))[0].mean()) >= 0.0
 
     def test_stable_at_extreme_logits_and_temperatures(self):
         for t in (0.5, 1.0, 10.0, 1000.0):
-            v = float(soft_ce([50.0, -50.0], [-50.0, 50.0], t)[0].mean())
+            v = float(distill_loss([50.0, -50.0], [-50.0, 50.0], t)[0].mean())
             assert np.isfinite(v)
 
     def test_high_temperature_approaches_uniform(self):
@@ -62,7 +71,7 @@ class TestSoftCeLoss:
         soft = softmax(p / t)
         assert np.allclose(soft, 1 / 3, atol=1e-6)
         # and the loss approaches T^2 * ln(num_classes) for any q of bounded spread
-        v = float(soft_ce(p, np.array([1.0, 0.0, -1.0]), t)[0].mean()) / t**2
+        v = float(distill_loss(p, np.array([1.0, 0.0, -1.0]), t)[0].mean()) / t**2
         assert v == pytest.approx(math.log(3), abs=1e-5)
 
     def test_grad_matches_numeric(self):
@@ -70,26 +79,27 @@ class TestSoftCeLoss:
         p = rng.normal(size=3)
         q = rng.normal(size=3)
         t = 2.5
-        g = soft_ce(p, q, t)[1]
+        g = distill_loss(p, q, t)[1]
         eps = 1e-6
         for i in range(3):
             dq = np.zeros(3)
             dq[i] = eps
-            fd = (float(soft_ce(p, q + dq, t)[0].mean())
-                  - float(soft_ce(p, q - dq, t)[0].mean())) / (2 * eps)
+            fd = (float(distill_loss(p, q + dq, t)[0].mean())
+                  - float(distill_loss(p, q - dq, t)[0].mean())) / (2 * eps)
             assert g[i] == pytest.approx(fd, abs=1e-6)
 
     def test_batched_rows_match_single_pairs(self):
         rng = np.random.default_rng(3)
         p, q = rng.normal(scale=2, size=(2, 5, 3))
-        loss, grad = soft_ce(p, q, 1.5)
+        loss, grad = distill_loss(p, q, 1.5)
         for i in range(5):
-            assert loss[i] == pytest.approx(float(soft_ce(p[i], q[i], 1.5)[0].mean()), rel=1e-12)
-            assert np.allclose(grad[i], soft_ce(p[i], q[i], 1.5)[1], rtol=1e-12, atol=0)
+            assert loss[i] == pytest.approx(float(distill_loss(p[i], q[i], 1.5)[0].mean()),
+                                            rel=1e-12)
+            assert np.allclose(grad[i], distill_loss(p[i], q[i], 1.5)[1], rtol=1e-12, atol=0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            soft_ce([0.0, 1.0], [0.0, 1.0, 2.0], 1.0)
+            nn.soft_ce([0.5, 0.5], [0.0, 1.0, 2.0])
 
 
 class TestCapture:
@@ -275,7 +285,7 @@ class TestAgreement:
 class TestVocabMap:
     def test_top_tokens_kept_rest_collapse(self):
         corpus = [[5, 5, 5, 7], [5, 7, 9], [9, 11]]
-        vmap = build_vocab_map(corpus, teacher_vocab=20, student_vocab=3)
+        vmap = build_vocab_map(corpus, student_vocab=3)
         # frequencies: 5 -> 4, 7 -> 2... wait 5 appears 4 times, 7 twice, 9 twice, 11 once
         assert vmap[5] == 1
         assert set(vmap) == {5, 7}  # top student_vocab-1 = 2 tokens (ties by id)
@@ -292,8 +302,9 @@ def test_dataset_loss_matches_manual_mean():
     data = capture_teacher_logits(teacher, seqs)
     student = nn.init(TINY, 12)
     manual = np.mean([
-        float(soft_ce(row, nn.forward(student, ids), 3.0)[0].mean())
+        float(distill_loss(row, nn.forward(student, ids), 3.0)[0].mean())
         for ids, row in zip(data.seqs, data.logits)
     ])
-    dataset_loss = float(soft_ce(data.logits, nn.predict_logits(student, data.seqs), 3.0)[0].mean())
+    dataset_loss = float(
+        distill_loss(data.logits, nn.predict_logits(student, data.seqs), 3.0)[0].mean())
     assert dataset_loss == pytest.approx(float(manual), rel=1e-12)

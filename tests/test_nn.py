@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distillsearch import cli, distill, estimators, nn
+from distillsearch import cli, estimators, nn
 from distillsearch.archspace import ArchConfig
 
 TINY = ArchConfig(layers=1, hidden=8, heads=2, ffn=16, vocab=20, max_seq_len=8)
@@ -287,15 +287,21 @@ class TestTrainLoop:
 
 
 class TestBackward:
+    @staticmethod
+    def _distill_loss(targets, logits, temperature):
+        """The loss against teacher logits ``targets``, softened as distill_train does."""
+        soft = np.exp(nn.log_softmax(targets / temperature))
+        return nn.soft_ce(soft, logits, temperature)
+
     def _loss_and_grads(self, model, ids, targets, temperature=2.0):
         logits, cache = nn.forward_batch(model, ids, want_cache=True)
-        dlogits = distill.soft_ce(targets, logits, temperature)[1] / len(ids)
+        dlogits = self._distill_loss(targets, logits, temperature)[1] / len(ids)
         return nn.backward(model, cache, dlogits)
 
     def _loss_fn(self, ids, targets, temperature=2.0):
         def fn(model):
             logits, _ = nn.forward_batch(model, ids)
-            per = [float(distill.soft_ce(targets[i], logits[i], temperature)[0].mean())
+            per = [float(self._distill_loss(targets[i], logits[i], temperature)[0].mean())
                    for i in range(len(ids))]
             return float(np.mean(per))
         return fn
@@ -757,6 +763,22 @@ class TestPinnedBits:
                                 text=True, check=True)
         assert result.stdout.strip() == \
             "6be446f062e567edc986779a3c3df2e8f4faa19a9f83c75f7b02d19e777641d6"
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 20.0, 1e3])
+    def test_one_hot_soft_ce_is_the_trajectory_loss(self, scale):
+        # nn.soft_ce at T = 1 on one-hot rows gives the bits of the inline loss the
+        # pinned trajectory trains on, loss and gradient alike
+        rng = np.random.default_rng(16)
+        logits = rng.normal(scale=scale, size=(64, 2))
+        logits[0] = [0.0, 800.0]  # a probability that underflows float64
+        labels = rng.integers(0, 2, size=64)
+        labels[0] = 0
+        logp = nn.log_softmax(logits)
+        onehot = np.eye(2)[labels]
+        loss, grad = nn.soft_ce(np.eye(2)[labels], logits)
+        assert loss.tobytes() == (-(onehot * logp).sum(-1)).tobytes()
+        assert grad.tobytes() == (np.exp(logp) - onehot).tobytes()
+        assert loss[0] == 800.0
 
     def test_weight_writes_seen_after_init_and_load(self, tmp_path):
         model = nn.init(TINY, 15)
