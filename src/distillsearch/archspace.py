@@ -5,12 +5,15 @@ five searched hyperparameters (encoder layers, hidden width, attention
 heads, feed-forward width, vocabulary size) plus two fixed context
 parameters (maximum sequence length and number of output classes).
 A :class:`SearchSpace` holds the per-hyperparameter grids of legal
-values for student models.
+values for student models; its ``grids`` are the one list of them that
+the space's size and the GA's draws read.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
@@ -91,16 +94,17 @@ class SearchSpace:
     ffn: GridRange
     vocab: GridRange
 
+    @functools.cached_property
+    def grids(self) -> tuple[Sequence[int], ...]:
+        """Each searched field's legal values, in ``SEARCHED_FIELDS`` order."""
+        return tuple(self.heads if field == "heads" else getattr(self, field).values()
+                     for field in SEARCHED_FIELDS)
+
     def grid_values(self, field: str) -> Sequence[int]:
-        if field == "heads":
-            return self.heads
-        return getattr(self, field).values()
+        return self.grids[SEARCHED_FIELDS.index(field)]
 
     def cardinality(self) -> int:
-        n = 1
-        for field in SEARCHED_FIELDS:
-            n *= len(self.grid_values(field))
-        return n
+        return math.prod(map(len, self.grids))
 
 
 @dataclass(frozen=True)
@@ -151,6 +155,4 @@ def validate(config: ArchConfig, space: SearchSpace) -> Verdict:
             return Verdict(False, f"{field}={value} above upper bound {grid.upper}")
         if (value - grid.lower) % grid.step != 0:
             return Verdict(False, f"{field}={value} off-grid (step {grid.step} from {grid.lower})")
-    if config.hidden % config.heads != 0:
-        return Verdict(False, f"hidden={config.hidden} not divisible by heads={config.heads}")
     return Verdict(True)

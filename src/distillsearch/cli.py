@@ -1,7 +1,8 @@
 """Command-line surface: estimate, search, teach, capture, distill, bench, report.
 
-Every command writes its RunReport into ``<out>/report.json`` (a JSON
-object keyed by command) alongside stable artifact filenames:
+Every command but report writes its RunReport into ``<out>/report.json``
+(a JSON object keyed by command, which report prints) alongside stable
+artifact filenames:
 arch.json, ga_result.json, teacher.ckpt, logits.ldst, student.ckpt.
 
 Exit codes: 0 success; 2 a malformed artifact or flag (ValueError);
@@ -52,9 +53,12 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _read_report(out: Path) -> dict:
+def _read_report(out: Path) -> dict | None:
+    """report.json's object, or None when no command has written one yet."""
     path = out / "report.json"
-    doc = nn.read_artifact(path, json.loads) if path.exists() else {}
+    if not path.exists():
+        return None
+    doc = nn.read_artifact(path, json.loads)
     if not isinstance(doc, dict):
         raise ValueError(f"{path} does not hold a JSON object; repair or delete it")
     return doc
@@ -272,13 +276,6 @@ def cmd_bench(args, out: Path) -> dict:
     return report
 
 
-def cmd_report(args, out: Path) -> dict:
-    _require(out / "report.json", "any command")
-    doc = _read_report(out)
-    print(json.dumps(doc, indent=2))
-    return {"commands": sorted(doc)}
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -337,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("report", help="print the accumulated run report")
-    p.set_defaults(func=cmd_report)
+    sub.add_parser("report", help="print the accumulated run report")
     return parser
 
 
@@ -349,12 +345,16 @@ def main(argv=None) -> int:
     try:
         out = _out_dir(args)
         previous = _read_report(out)
+        if args.command == "report":  # prints what the other commands wrote
+            if previous is None:
+                raise FileNotFoundError("missing artifact report.json: run any command first")
+            print(json.dumps(previous, indent=2))
+            return 0
         body = args.func(args, out)
         report = {"command": args.command, "seed": args.seed,
                   "wall_time_s": time.perf_counter() - start,
                   "provenance": _provenance(), **body}
-        if args.command != "report":
-            _write_report(out, {**previous, args.command: report})
+        _write_report(out, {**(previous or {}), args.command: report})
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))

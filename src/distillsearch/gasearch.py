@@ -35,7 +35,8 @@ fitness (``history``), their median fitness and how many are distinct,
 read from the ranked survivors without scoring anything again.
 
 A :class:`Chromosome` is a named tuple: the operators slice it, and
-hashing, equality and ranking run in C. The loop's ``rng`` calls, in
+hashing, equality and ranking run in C. Its genes are drawn from the
+space's own grids, ``SearchSpace.grids``. The loop's ``rng`` calls, in
 order and with their arguments, are the trajectory; a rewrite that keeps
 every call keeps every pick, history and population bit for bit.
 """
@@ -68,10 +69,6 @@ class Chromosome(NamedTuple):
         return ArchConfig(layers=self.layers, hidden=self.hidden, heads=self.heads,
                           ffn=self.ffn, vocab=self.vocab,
                           max_seq_len=max_seq_len, num_classes=num_classes)
-
-    @classmethod
-    def from_genes(cls, genes) -> "Chromosome":
-        return cls._make(map(int, genes))
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,7 @@ class GaResult:
 
     def to_dict(self) -> dict:
         cfg = self.best.to_config(self.params.max_seq_len, self.params.num_classes)
-        flops = estimators.forward_flops(cfg, min(self.params.fitness_seq_len, cfg.max_seq_len))
+        flops = estimators.forward_flops(cfg, self.params.fitness_seq_len)
         return {
             "best": cfg.to_dict(),
             "best_fitness": self.best_fitness,
@@ -142,8 +139,7 @@ def fitness(s: Chromosome, params: GaParams) -> float:
 
 
 def random_chromosome(space: SearchSpace, rng: np.random.Generator) -> Chromosome:
-    return Chromosome.from_genes(values[rng.integers(len(values))]
-                                 for values in map(space.grid_values, GENE_ORDER))
+    return Chromosome._make(values[rng.integers(len(values))] for values in space.grids)
 
 
 def crossover(c1: Chromosome, c2: Chromosome, rng: np.random.Generator) -> Chromosome:
@@ -152,19 +148,10 @@ def crossover(c1: Chromosome, c2: Chromosome, rng: np.random.Generator) -> Chrom
     return Chromosome._make(c1[:h] + c2[h:])
 
 
-# the last space mutation saw and its gene grids in GENE_ORDER; the pair is
-# replaced whole, so every call reads grids that belong to its own space
-_grids = None, ()
-
-
 def mutation(c1: Chromosome, space: SearchSpace, rng: np.random.Generator) -> Chromosome:
     """Keep genes up to a random cut, resample the tail uniformly."""
-    global _grids
     h = int(rng.integers(1, len(GENE_ORDER)))
-    cached, grids = _grids
-    if cached is not space:  # build the grids once per space, not on every draw
-        grids = tuple(space.grid_values(f) for f in GENE_ORDER)
-        _grids = space, grids
+    grids = space.grids
     genes = list(c1)
     for i in range(h, len(GENE_ORDER)):
         genes[i] = grids[i][rng.integers(len(grids[i]))]
@@ -204,8 +191,7 @@ def search(space: SearchSpace, params: GaParams) -> GaResult:
     """Run the full evolutionary loop; deterministic given the seed. Raises
     ValueError when even the smallest architecture in ``space`` is larger
     than the target: every size grows with every gene, so no pick could fit."""
-    smallest = Chromosome(space.layers.lower, space.hidden.lower, min(space.heads),
-                          space.ffn.lower, space.vocab.lower)
+    smallest = Chromosome._make(map(min, space.grids))
     floor_mb = estimators.model_size(
         smallest.to_config(params.max_seq_len, params.num_classes)).megabytes
     if floor_mb > params.target_size_mb:

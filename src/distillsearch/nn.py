@@ -89,12 +89,12 @@ class FlopCounter:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-    """``a @ b``, tallied into ``counter``. A batch's product with a 2-D weight runs
-    as one GEMM over all rows of ``a``'s leading axes, where numpy would run one
-    small GEMM per sequence; a single sequence's product already is one GEMM."""
+    """``a @ b``, tallied into ``counter``. A product with a 2-D weight runs as one
+    GEMM over all rows of ``a``'s leading axes, where numpy would run one small
+    GEMM per sequence."""
     if counter is not None:
         counter.add_matmul(a.shape, b.shape)
-    if b.ndim == 2 and a.ndim == 3 and len(a) > 1:
+    if b.ndim == 2:
         return (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[-1])
     return a @ b
 
@@ -161,8 +161,6 @@ def init(config: ArchConfig, rng: np.random.Generator | int,
          dtype=np.float64) -> EncoderModel:
     """Seed-deterministic init: N(0, 0.02) matrices, unit LN scales, zero biases, in
     a ``dtype`` buffer (the same fp64 draws, rounded once for float32)."""
-    if config.hidden % config.heads != 0:
-        raise ValueError("hidden must be divisible by heads")
     dtype = _compute_dtype(dtype)
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
@@ -637,11 +635,14 @@ class TrainParams:
     epochs: int = 10
     batch_size: int = 64
     rng_seed: int = 0
-    max_grad_norm: float | None = 1.0  # Adam alone is unstable on the teacher at 1e-3
+    max_grad_norm: float = 1.0  # Adam alone is unstable on the teacher at 1e-3
     dtype: np.dtype | type = np.float64  # the model's compute dtype, float64 or float32
 
     def __post_init__(self):
         _compute_dtype(self.dtype)
+        if not (self.learning_rate > 0 and self.max_grad_norm > 0):
+            raise ValueError(f"learning_rate and max_grad_norm must be positive, got "
+                             f"{self.learning_rate!r} and {self.max_grad_norm!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -682,8 +683,7 @@ def train_loop(model: EncoderModel, rng: np.random.Generator, seqs,
             total += loss
             backward(model, cache, dlogits / len(batch), out=grad)
             del logits, cache  # the next step's forward builds a cache of its own
-            if params.max_grad_norm is not None:
-                clip_global_norm(grad, model.config, params.max_grad_norm)
+            clip_global_norm(grad, model.config, params.max_grad_norm)
             sgd_adam_step(state, grad, params.learning_rate)
         epoch_losses.append(total / len(seqs))
     return epoch_losses

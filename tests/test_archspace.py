@@ -30,6 +30,15 @@ class TestSearchSpace:
         # grid sizes as stated: 12 x 48 x 4 x 96 x 50
         assert [len(space.grid_values(f)) for f in SEARCHED_FIELDS] == [12, 48, 4, 96, 50]
 
+    def test_grids_hold_each_fields_values_once_in_field_order(self):
+        space = default_table1()
+        assert space.grids is space.grids  # built once per space
+        assert [list(g) for g in space.grids] == [
+            list(range(1, 13)), list(range(16, 769, 16)), [1, 2, 4, 8],
+            list(range(32, 3073, 32)), list(range(1000, 50001, 1000))]
+        for field, grid in zip(SEARCHED_FIELDS, space.grids):
+            assert space.grid_values(field) is grid
+
     def test_contains_grid_maxima(self):
         assert validate(make(12, 768, 8, 3072, 50000), default_table1()).ok
 

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import os
@@ -183,6 +184,18 @@ class TestPipelineCommands:
         data = distill.LogitDataset.load(out / "logits.ldst")
         assert len(data) == 300
 
+    def test_capture_generates_the_default_corpus_when_out_has_none(self, tmp_path):
+        # --out holds only a teacher: capture makes the seed's default corpus first
+        teacher = ArchConfig(layers=1, hidden=8, heads=1, ffn=16, vocab=2000, max_seq_len=24)
+        nn.save_checkpoint(nn.init(teacher, 0), tmp_path / "teacher.ckpt")
+        assert run(tmp_path, "--seed", "3", "capture") == 0
+        spec = json.loads((tmp_path / "task_spec.json").read_text())
+        spec["rule_params"] = tuple(spec["rule_params"])
+        assert spec == dataclasses.asdict(corpus.SyntheticTaskSpec(rng_seed=3))
+        assert len(distill.LogitDataset.load(tmp_path / "logits.ldst")) == 4000
+        entry = json.loads((tmp_path / "report.json").read_text())["capture"]
+        assert (entry["count"], entry["corpus_seed"]) == (4000, 3)
+
     def test_lenient_capture_reports_skipped(self, small_corpus_dir, capsys):
         out = small_corpus_dir
         nn.save_checkpoint(nn.init(TINY_TEACHER, 0), out / "teacher.ckpt")
@@ -255,7 +268,8 @@ class TestErrorContract:
         assert run(small_corpus_dir, "teach", "--batch-size", "0") == 2
         assert "batch_size" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--batch-size", "0"], ["--temperature", "0"]])
+    @pytest.mark.parametrize("flag", [["--batch-size", "0"], ["--temperature", "0"],
+                                      ["--lr=0"], ["--lr=-1e-3"]])
     def test_distill_bad_params_exit_2(self, captured_dir, flag):
         assert run(captured_dir, "distill", *flag) == 2
         assert not (captured_dir / "student.ckpt").exists()
@@ -323,6 +337,26 @@ class TestReport:
         assert not (tmp_path / "report.json.tmp").exists()
         assert not (tmp_path / "report.json").exists()
         assert (tmp_path / "ga_result.json").exists()  # the command's own artifacts stay
+
+    def test_report_parses_the_file_once_and_leaves_it_as_it_was(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        assert run(tmp_path, "search", "--target-mb", "3", "--iterations", "2",
+                   "--population", "5", "--child-size", "5") == 0
+        path = tmp_path / "report.json"
+        before = path.read_bytes()
+        reads = []
+        read_artifact = nn.read_artifact
+
+        def spy(artifact, parse):
+            reads.append(Path(artifact))
+            return read_artifact(artifact, parse)
+
+        monkeypatch.setattr(nn, "read_artifact", spy)
+        capsys.readouterr()
+        assert run(tmp_path, "report") == 0
+        assert reads.count(path) == 1
+        assert path.read_bytes() == before
+        assert json.loads(capsys.readouterr().out) == json.loads(before)
 
     def test_report_without_runs_exit_3(self, tmp_path):
         assert run(tmp_path, "report") == 3

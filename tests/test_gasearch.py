@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -52,13 +53,15 @@ class TestChromosome:
         assert c == (3, 512, 4, 1024, 10000)
         assert isinstance(c, tuple)
 
-    def test_from_genes_turns_numpy_ints_into_int(self):
-        c = Chromosome.from_genes(np.array([3, 512, 4, 1024, 10000], dtype=np.int64))
-        assert c == Chromosome(3, 512, 4, 1024, 10000)
-        assert all(type(g) is int for g in c)
+    def test_drawn_genes_are_python_ints(self):
+        # the grids are ranges and a tuple, so an np.int64 index still draws an int
+        rng = np.random.default_rng(4)
+        drawn = [random_chromosome(SPACE, rng) for _ in range(50)]
+        drawn += [mutation(c, SPACE, rng) for c in drawn]
+        assert all(type(g) is int for c in drawn for g in c)
 
     def test_hash_and_equality(self):
-        a, b = Chromosome(3, 512, 4, 1024, 10000), Chromosome.from_genes([3, 512, 4, 1024, 10000])
+        a, b = Chromosome(3, 512, 4, 1024, 10000), Chromosome._make([3, 512, 4, 1024, 10000])
         assert a == b and hash(a) == hash(b)
         assert a != Chromosome(3, 512, 8, 1024, 10000)
         assert len({a, b, Chromosome(3, 512, 8, 1024, 10000)}) == 2
@@ -157,6 +160,14 @@ class TestMutation:
         c = Chromosome(3, 512, 4, 1024, 10000)
         child = mutation(c, SPACE, FixedCut([4, 25]))
         assert child[:4] == c[:4]
+
+    def test_each_space_draws_from_its_own_grids(self):
+        # alternate two spaces: every call reads the grids of the space it is given
+        c = Chromosome(1, 16, 1, 32, 1000)
+        other = dataclasses.replace(SMALL_SPACE, heads=(4,), vocab=GridRange(7000, 9000, 1000))
+        for _ in range(3):
+            assert mutation(c, SMALL_SPACE, FixedCut([2, 2, 3, 4])) == (1, 16, 8, 128, 5000)
+            assert mutation(c, other, FixedCut([2, 0, 3, 2])) == (1, 16, 4, 128, 9000)
 
 
 class TestRepairVocab:

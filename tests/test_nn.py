@@ -198,12 +198,13 @@ class TestPredictLogits:
 
 
 class TestOneGemmPerWeightProduct:
-    def test_each_weight_product_gets_all_rows_as_one_matrix(self, monkeypatch):
+    @pytest.mark.parametrize("B", [1, 5])
+    def test_each_weight_product_gets_all_rows_as_one_matrix(self, monkeypatch, B):
         # spy on what the product inside nn.matmul receives: every 2-D weight, forward
         # and backward, must meet one (rows, k) activation, never a (B, s, k) stack
         cfg = ArchConfig(layers=2, hidden=8, heads=2, ffn=16, vocab=20, max_seq_len=8)
         model = nn.init(cfg, 6)
-        B, s = 5, 7
+        s = 7
         ids = np.random.default_rng(6).integers(0, cfg.vocab, size=(B, s))
         seen = []
 
@@ -274,7 +275,9 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("bad", [dict(batch_size=0), dict(epochs=-1), dict(dtype=np.float16),
                                      dict(dtype="int32"), dict(dtype="no such type"),
-                                     dict(dtype=None)])
+                                     dict(dtype=None), dict(learning_rate=0),
+                                     dict(learning_rate=-1e-3), dict(max_grad_norm=0),
+                                     dict(max_grad_norm=-1.0)])
     def test_params_validated(self, bad):
         with pytest.raises(ValueError):
             nn.TrainParams(**bad)
