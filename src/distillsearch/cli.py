@@ -241,8 +241,9 @@ def cmd_bench(args, out: Path) -> dict:
     rng = np.random.default_rng(args.seed)
     idx = rng.choice(len(data.test), size=min(args.n, len(data.test)), replace=False)
     sample = [data.test[i].ids for i in idx]
-    if not sample or args.repeats < 1:
-        raise ValueError("bench needs --n >= 1, --repeats >= 1 and a non-empty test split")
+    if not sample or args.repeats < 1 or args.seq_len < 1:
+        raise ValueError("bench needs --n >= 1, --repeats >= 1, --seq-len >= 1 "
+                         "and a non-empty test split")
 
     results = {}
     try:

@@ -37,7 +37,9 @@ Phi = 1/2 + copysign(1/2 - Phi(-|x|), x). Its largest error against float64
 Phi is 1.7e-7, where scipy's float32 erf, which runs its float64 loop at 2 to 4
 times the cost, reads 6e-8. Inference GELU runs over blocks of whole
 sequences of at most :data:`GELU_BLOCK` elements, which bounds its temporaries
-and needs far fewer calls than one sequence at a time.
+and needs far fewer calls than one sequence at a time. A training pass caches
+GELU(x) and its gradient instead of x, so backward does no GELU work; float32
+takes the gradient's exp(-x^2 / 2) from the kernel that gave Phi.
 
 A batched pass keeps alive only what the next operation or :func:`backward`
 reads. Each attention and feed-forward sub-block, forward and backward,
@@ -45,7 +47,8 @@ runs in a helper of its own, so its temporaries are freed when it returns:
 an inference pass holds at most one (batch, seq, ffn) array and a few
 (batch, seq, hidden) ones. Bias and residual adds, layer norm, softmax and
 GELU's gradient work in place, each step the same operation on the same
-operands as the plain expression, so no bit moves.
+operands as the plain expression, so no bit moves. :func:`backward` writes
+each gradient once, straight into its view of the flat gradient buffer.
 
 Every product of an activation with a 2-D weight, forward and backward, goes
 through :func:`matmul`, which runs it as one GEMM over all rows of the batch
@@ -180,13 +183,22 @@ def init(config: ArchConfig, rng: np.random.Generator | int,
 # forward / backward
 
 
+def _row_mean(x):
+    """``x.mean(-1, keepdims=True)`` without numpy's Python-level wrapper, bit for
+    bit: float32's mean divides in float64 and rounds once, which for a quotient
+    gives the float32 division's bits."""
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= x.shape[-1]
+    return mean
+
+
 def _layer_norm_fwd(x, g, b):
     """Layer norm over the last axis: ``(g * xhat + b, (xhat, inv, g))``. ``x`` is
     overwritten and becomes ``xhat``; each step is the textbook expression's own
     operation, done in place, so every bit is the same."""
-    mu = x.mean(-1, keepdims=True)
+    mu = _row_mean(x)
     xc = np.subtract(x, mu, out=x)
-    var = (xc * xc).mean(-1, keepdims=True)
+    var = _row_mean(xc * xc)
     var += LN_EPS
     inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
     xhat = np.multiply(xc, inv, out=xc)
@@ -206,8 +218,8 @@ def _layer_norm_bwd(dy, cache):
     db = dy.sum(axis=axes)
     dxhat = np.multiply(dy, g, out=dy)
     np.multiply(dxhat, xhat, out=t)
-    np.multiply(xhat, t.mean(-1, keepdims=True), out=t)
-    dxhat -= dxhat.mean(-1, keepdims=True)
+    np.multiply(xhat, _row_mean(t), out=t)
+    dxhat -= _row_mean(dxhat)
     dxhat -= t
     dxhat *= inv
     return dxhat, dg, db
@@ -230,12 +242,11 @@ def _gelu(x, out=None):
 
 
 def _normal_cdf(x):
-    """Phi(x) = (1 + erf(x / sqrt 2)) / 2, so GELU(x) = x * Phi(x). A training
-    pass caches Phi, and backward gets GELU and its gradient without a
-    second erf. float32 takes :func:`_normal_cdf_f32`; float64 keeps scipy's
-    erf, whose accuracy the finite-difference gradient checks need."""
+    """Phi(x) = (1 + erf(x / sqrt 2)) / 2, so GELU(x) = x * Phi(x). float32 takes
+    :func:`_normal_cdf_f32`; float64 keeps scipy's erf, whose accuracy the
+    finite-difference gradient checks need."""
     if x.dtype == np.float32:
-        return _normal_cdf_f32(x)
+        return _normal_cdf_f32(x)[0]
     from scipy.special import erf  # here, not at the top: search and estimate never run a forward
     phi = x / math.sqrt(2.0)
     erf(phi, out=phi)
@@ -256,11 +267,12 @@ _PHI_CLAMP = 16.0  # Phi(-16) is 0 in float32; beyond it x^2 could overflow and 
 
 
 def _normal_cdf_f32(x):
-    """Phi of a float32 array by A&S 7.1.26 in numpy alone:
+    """(Phi(x), exp(-x^2 / 2)) of a float32 array by A&S 7.1.26 in numpy alone:
     Phi = 1/2 + copysign(1/2 - Phi(-|x|), x). scipy's float32 erf runs its float64
     loop, at 2 to 4 times this kernel's time (more the wider x spreads). The
-    largest error against float64 Phi is 1.7e-7 (scipy's float32 erf: 6e-8). It
-    holds one temporary the size of ``x`` beside the result and masks nothing, so
+    largest error against float64 Phi is 1.7e-7 (scipy's float32 erf: 6e-8). The
+    exp, which GELU's gradient reuses, takes x clamped at +-16, where it is 0
+    already. The two results are the kernel's only arrays; it masks nothing, so
     nan stays nan."""
     w = np.abs(x)
     np.minimum(w, _PHI_CLAMP, out=w)
@@ -275,23 +287,31 @@ def _normal_cdf_f32(x):
     w *= w
     w *= -0.5
     np.exp(w, out=w)
-    w *= q  # Phi(-|x|)
-    np.subtract(0.5, w, out=w)
-    np.copysign(w, x, out=w)
-    w += 0.5
-    return w
+    q *= w  # Phi(-|x|)
+    np.subtract(0.5, q, out=q)
+    np.copysign(q, x, out=q)
+    q += 0.5
+    return q, w
 
 
-def _gelu_grad(x, phi):
-    """d GELU / dx = phi + x * exp(-x^2 / 2) / sqrt(2 pi) from x and its cached
-    ``phi`` = :func:`_normal_cdf` (x), in one new array."""
-    t = np.multiply(-0.5, x)
-    t *= x
-    np.exp(t, out=t)
-    t *= x
-    t /= math.sqrt(2.0 * math.pi)
-    t += phi
-    return t
+def _gelu_and_grad(u):
+    """(GELU(u), GELU'(u)) in two new arrays, what a training pass keeps for
+    backward: GELU' = Phi + u * exp(-u^2 / 2) / sqrt(2 pi). float32 reuses the exp
+    of :func:`_normal_cdf_f32`, which squares u clamped at +-16 before it halves,
+    where the formula halves first. Halving is exact but on a subnormal square,
+    whose exp is 1 either way, and past +-16 both exps are 0: the bits are the
+    formula's."""
+    if u.dtype == np.float32:
+        phi, grad = _normal_cdf_f32(u)
+    else:
+        phi = _normal_cdf(u)
+        grad = np.multiply(-0.5, u)
+        grad *= u
+        np.exp(grad, out=grad)
+    grad *= u
+    grad /= math.sqrt(2.0 * math.pi)
+    grad += phi
+    return np.multiply(u, phi, out=phi), grad
 
 
 def softmax(x, out=None):
@@ -427,10 +447,9 @@ def _ffn(x1, w, p, counter, keep):
     u = _linear(x1, w, p + "ffn_up", counter)
     if keep is None:
         g = _gelu(u, out=u)
-    else:  # backward reads u and Phi(u); GELU(u) lives only for the product
-        phi = _normal_cdf(u)
-        keep.update(x1=x1, u=u, phi=phi)
-        g = u * phi
+    else:  # backward reads GELU(u) and GELU'(u), and u no more
+        g, dg = _gelu_and_grad(u)
+        keep.update(x1=x1, gelu=g, gelu_grad=dg)
     return _linear(g, w, p + "ffn_down", counter)
 
 
@@ -481,14 +500,16 @@ def match_rate(logits: np.ndarray, references) -> float:
 def backward(model: EncoderModel, cache: dict, dlogits: np.ndarray,
              out: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Gradients for every weight given d(loss)/d(logits), as named views into
-    ``out``, a flat buffer laid out like ``model.flat`` (overwritten), or a new one.
+    ``out``, a flat buffer laid out like ``model.flat``, or a new one. Each
+    gradient is written once, never added to zeros: only the token embedding's,
+    which sums repeated ids, and the rows of unused positions are zeroed first.
     ``dlogits`` is taken in the model's dtype."""
     cfg = model.config
     w = model.weights
     ids = cache["ids"]
+    s = ids.shape[1]
     dlogits = np.asarray(dlogits, dtype=model.flat.dtype)
     out = np.empty_like(model.flat) if out is None else out
-    out.fill(0.0)
     grads = _views(out, cfg)
 
     pooled = cache["pooled"]
@@ -504,31 +525,26 @@ def backward(model: EncoderModel, cache: dict, dlogits: np.ndarray,
         dx = _attention_backward(dx, lc, w, p, cfg.heads, grads)
 
     demb = _add_norm_backward(dx, cache["emb_ln"], grads, "emb_ln")
+    grads["tok_emb"].fill(0.0)
     np.add.at(grads["tok_emb"], ids, demb)
-    grads["pos_emb"][:ids.shape[1]] += demb.sum(0)
+    demb.sum(0, out=grads["pos_emb"][:s])
+    grads["pos_emb"][s:] = 0.0
     return grads
 
 
 def _add_norm_backward(dy, ln_cache, grads, ln):
     """Gradient into both summands of :func:`_add_norm` from ``dy`` (overwritten)
-    at its output; adds the norm's scale and shift gradients to ``grads``."""
-    dx, dg, db = _layer_norm_bwd(dy, ln_cache)
-    grads[ln + "_g"] += dg
-    grads[ln + "_b"] += db
+    at its output; writes the norm's scale and shift gradients into ``grads``."""
+    dx, grads[ln + "_g"][...], grads[ln + "_b"][...] = _layer_norm_bwd(dy, ln_cache)
     return dx
 
 
 def _ffn_backward(dy, lc, w, p, grads):
     """Gradient into the feed-forward sub-block from ``dy`` (overwritten) at the
-    output of its layer norm; adds the sub-block's weight gradients to ``grads``."""
+    output of its layer norm; writes the sub-block's weight gradients into ``grads``."""
     dres = _add_norm_backward(dy, lc["ln2"], grads, p + "ffn_ln")
-    u, phi = lc["u"], lc["phi"]
-    h, d = dres.shape[-1], u.shape[-1]
-    # GELU(u) = u * Phi(u) again, freed before du is allocated
-    grads[p + "ffn_down_w"] += (u * phi).reshape(-1, d).T @ dres.reshape(-1, h)
-    grads[p + "ffn_down_b"] += dres.sum((0, 1))
-    du = matmul(dres, w[p + "ffn_down_w"].T)
-    du *= _gelu_grad(u, phi)
+    du = _linear_backward(lc["gelu"], dres, w, p + "ffn_down", grads)
+    du *= lc["gelu_grad"]
     dx = _linear_backward(lc["x1"], du, w, p + "ffn_up", grads)
     dx += dres
     return dx
@@ -536,7 +552,7 @@ def _ffn_backward(dy, lc, w, p, grads):
 
 def _attention_backward(dy, lc, w, p, heads, grads):
     """Gradient into the attention sub-block from ``dy`` (overwritten) at the
-    output of its layer norm; adds the sub-block's weight gradients to ``grads``."""
+    output of its layer norm; writes the sub-block's weight gradients into ``grads``."""
     dres = _add_norm_backward(dy, lc["ln1"], grads, p + "attn_ln")
     x, xq, probs = lc["x"], lc["xq"], lc["probs"]
     B, s, h = x.shape
@@ -562,10 +578,11 @@ def _attention_backward(dy, lc, w, p, heads, grads):
 
 
 def _linear_backward(x, dy, w, name, grads):
-    """Gradient into ``x`` of :func:`_linear` given ``dy`` at its output; adds the
-    weight and bias gradients to ``grads``."""
-    grads[name + "_w"] += x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
-    grads[name + "_b"] += dy.sum(axis=tuple(range(dy.ndim - 1)))
+    """Gradient into ``x`` of :func:`_linear` given ``dy`` at its output; writes the
+    weight and bias gradients into ``grads``."""
+    np.matmul(x.reshape(-1, x.shape[-1]).T, dy.reshape(-1, dy.shape[-1]),
+              out=grads[name + "_w"])
+    dy.sum(axis=tuple(range(dy.ndim - 1)), out=grads[name + "_b"])
     return matmul(dy, w[name + "_w"].T)
 
 
@@ -594,9 +611,13 @@ class TrainState:
 
 
 def clip_global_norm(grad: np.ndarray, config: ArchConfig, max_norm: float) -> float:
-    """Scale the flat gradient so its L2 norm is at most max_norm. Squares are summed
-    tensor by tensor: once clipping fires, that order is part of the trajectory."""
-    total = math.sqrt(sum(float((g * g).sum()) for g in _views(grad, config).values()))
+    """Scale the flat gradient so its L2 norm is at most max_norm. The gradient is
+    squared in one pass and the squares summed tensor by tensor: once clipping
+    fires, that order is part of the trajectory. A contiguous tensor sums to the
+    same bits as its flat slice."""
+    squares = np.multiply(grad, grad)
+    total = math.sqrt(sum(float(np.add.reduce(squares[start:stop]))
+                          for *_, start, stop in _layout(config)))
     if total > max_norm:
         grad *= max_norm / total
     return total

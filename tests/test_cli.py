@@ -550,18 +550,51 @@ class TestRunExplainsItself:
         for command in ("teach", "distill", "bench"):
             assert report_entry(damaged, command)["provenance"]["numpy"] == np.__version__
 
-    @pytest.mark.parametrize("flag", [["--n", "0"], ["--repeats", "0"]])
-    def test_bench_empty_sample_exit_2(self, damaged, flag):
+    @pytest.mark.parametrize("flag", [["--n", "0"], ["--repeats", "0"], ["--seq-len", "0"],
+                                      ["--seq-len", "-3"]])
+    def test_bench_empty_sample_exit_2(self, damaged, flag, monkeypatch):
+        timed = []
+        monkeypatch.setattr(cli, "_bench_model", lambda *args: timed.append(args) or [1.0])
         assert run(damaged, "bench", *flag) == 2
+        assert timed == []  # refused before any model is timed
+
+
+def child_prints(probe: str) -> str:
+    """What ``probe`` prints, run by a fresh interpreter that imports this checkout."""
+    src = str(Path(distillsearch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    return result.stdout.strip()
 
 
 def test_cli_import_leaves_scipy_special_out():
-    src = str(Path(distillsearch.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, distillsearch.cli; print('scipy.special' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert child_prints("import sys, distillsearch.cli; "
+                        "print('scipy.special' in sys.modules)") == "False"
+
+
+def test_float32_run_leaves_scipy_special_out(tmp_path):
+    # float32 takes Phi from numpy alone: scipy.special would cost a whole CLI run
+    # its import time and tens of MB
+    probe = f"""
+import contextlib, io, sys
+from pathlib import Path
+from distillsearch import cli, corpus
+from distillsearch.archspace import ArchConfig
+out = Path({str(tmp_path)!r})
+corpus.save_corpus(corpus.generate(corpus.SyntheticTaskSpec(
+    vocab_size=300, n_labeled=40, n_unlabeled=40, n_val=10, n_test=10, rng_seed=0)), out)
+(out / "teacher.json").write_text({TINY_TEACHER.to_json()!r})
+(out / "arch.json").write_text(ArchConfig(layers=1, hidden=8, heads=1, ffn=16, vocab=100,
+                                          max_seq_len=32).to_json())
+assert cli.COMPUTE_DTYPE.name == "float32"
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["teach", "--config", str(out / "teacher.json"), "--epochs", "1"], ["capture"],
+                 ["distill", "--epochs", "1"], ["bench", "--n", "3", "--repeats", "1"]):
+        assert cli.main(["--out", str(out), *argv]) == 0, argv
+print("scipy.special" in sys.modules)
+"""
+    assert child_prints(probe) == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -361,15 +362,36 @@ class TestBackward:
             assert np.shares_memory(reused[name], out)
             assert np.array_equal(reused[name], fresh[name])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_every_gradient_is_written_on_the_desk_teacher(self, dtype):
+        # four layers, a last layer that computes one row of eight, and vocab rows
+        # and positions the batch never uses: backward zeroes nothing else first,
+        # so whatever a reused buffer held must be gone
+        cfg = cli.DEFAULT_TEACHER
+        rng = np.random.default_rng(7)
+        model = nn.init(cfg, 7, dtype)
+        ids = rng.integers(0, 50, size=(3, 8))
+        logits, cache = nn.forward_batch(model, ids, want_cache=True)
+        dl = rng.normal(size=logits.shape)
+        results = []
+        for fill in (np.nan, 7.0):
+            out = np.full_like(model.flat, fill)
+            nn.backward(model, cache, dl, out=out)
+            assert not np.isnan(out).any()
+            results.append(out)
+        assert results[0].tobytes() == results[1].tobytes()
+        grads = nn._views(results[0], cfg)
+        assert not grads["tok_emb"][50:].any() and not grads["pos_emb"][8:].any()
+
     def test_gelu_from_cached_normal_cdf_is_exact(self):
-        # inference computes GELU(u) in place; a training pass caches Phi(u) and
-        # backward rebuilds GELU(u) = u * Phi(u): both equal the formula bit for bit
+        # inference computes GELU(u) in place; a training pass caches GELU(u) and
+        # GELU'(u) from one Phi(u): both GELUs equal the formula bit for bit
         from scipy.special import erf
         x = np.random.default_rng(2).normal(scale=4.0, size=(3, 5, 64))
         x[0, 0, :6] = [-40.0, -9.0, -0.0, 0.0, 1e-300, 40.0]
         reference = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
         assert np.array_equal(nn._gelu(x), reference)
-        assert np.array_equal(x * nn._normal_cdf(x), reference)
+        assert np.array_equal(nn._gelu_and_grad(x)[0], reference)
 
 
 def float_arrays(obj):
@@ -388,9 +410,9 @@ class TestComputeDtype:
     CFG = ArchConfig(layers=2, hidden=16, heads=2, ffn=32, vocab=40, max_seq_len=12)
 
     # every function of a training step whose result holds activations or gradients
-    SPIED = ("forward_batch", "_attention", "_ffn", "_normal_cdf", "_layer_norm_fwd",
-             "backward", "_ffn_backward", "_attention_backward", "_linear_backward",
-             "_gelu_grad", "_layer_norm_bwd")
+    SPIED = ("forward_batch", "_attention", "_ffn", "_gelu_and_grad", "_layer_norm_fwd",
+             "_row_mean", "backward", "_ffn_backward", "_attention_backward",
+             "_linear_backward", "_layer_norm_bwd")
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_two_training_steps_keep_every_array_in_the_buffers_dtype(self, dtype,
@@ -505,10 +527,19 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_gelu_grad(self, shape):
+        # float64 caches GELU(x) = x * Phi(x) and its gradient as written out
         _, x = self._data(shape, 22)
         phi = nn._normal_cdf(x)
-        reference = phi + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-        assert np.array_equal(nn._gelu_grad(x, phi), reference)
+        gelu, grad = nn._gelu_and_grad(x)
+        assert np.array_equal(gelu, x * phi)
+        assert np.array_equal(grad, gelu_grad(x, phi))
+
+
+def gelu_grad(x, phi):
+    """GELU'(x) = exp(-x^2 / 2) * x / sqrt(2 pi) + phi, from x and its Phi, one
+    operation at a time in x's dtype. Of two nan operands x86 keeps the first, so
+    the order also fixes a nan's sign."""
+    return np.exp(-0.5 * x * x) * x / math.sqrt(2.0 * math.pi) + phi
 
 
 class TestGelu:
@@ -524,6 +555,23 @@ class TestGelu:
         assert np.isnan(phi[~finite]).all()
         assert phi[finite].min() >= 0.0 and phi[finite].max() <= 1.0
         assert np.abs(phi[finite] - ndtr(x[finite].astype(np.float64))).max() <= 3e-7
+
+    @pytest.mark.parametrize("scale", [0.01, 0.3, 1.0, 3.0, 8.0])
+    def test_float32_cached_gradient_reuses_the_exp_of_phi_bit_for_bit(self, scale):
+        # the kernel's exp takes x clamped at +-16 and squares before it halves;
+        # the gradient's formula halves before it squares and clamps nothing
+        x = np.random.default_rng(4).normal(scale=scale, size=(3, 7, 64)).astype(np.float32)
+        x[0, 0, :24] = [0.0, -0.0, 1e-30, -1e-30, 1e-40, -1e-40, 1e-45, -1e-45,
+                        15.9, -15.9, 16.0, -16.0, 16.1, -16.1, 1e20, -1e20,
+                        np.inf, -np.inf, np.nan, -np.nan, 13.0, -13.0, 14.5, -14.5]
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = nn._normal_cdf(x)
+            gelu, grad = nn._gelu_and_grad(x)
+            references = x * phi, gelu_grad(x, phi)
+        assert gelu.dtype == grad.dtype == np.float32
+        # int32 views: every bit, a nan's sign and payload too
+        for got, reference in zip((gelu, grad), references):
+            assert np.array_equal(got.view(np.int32), reference.view(np.int32))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("shape", [(7, 24, 512), (64, 1, 2688), (5, 13, 2688)])
@@ -643,6 +691,24 @@ class TestAdam:
         for expected in (1, 2, 3):
             nn.sgd_adam_step(state, grads, 1e-3)
             assert state.step == expected
+
+
+class TestClipGlobalNorm:
+    @pytest.mark.parametrize("cfg", [TINY, cli.DEFAULT_TEACHER])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("max_norm", [1e-3, 1e30])  # clipping fires, clipping does not
+    def test_total_is_the_tensor_by_tensor_sum_of_squares(self, cfg, dtype, max_norm):
+        # heavy tails, so that a sum's bits depend on its order: summing all squares
+        # at once gives other bits here
+        size = estimators.param_count(cfg)
+        grad = np.random.default_rng(12).standard_cauchy(size=size).astype(dtype)
+        before = grad.copy()
+        total = math.sqrt(sum(float((g * g).sum()) for g in nn._views(before, cfg).values()))
+        assert total != math.sqrt(float((before * before).sum()))
+        assert nn.clip_global_norm(grad, cfg, max_norm).hex() == total.hex()
+        expected = before * (max_norm / total) if total > max_norm else before
+        assert (total > max_norm) == (max_norm == 1e-3)
+        assert grad.dtype == dtype and grad.tobytes() == expected.tobytes()
 
 
 class TestCheckpoint:
