@@ -4,17 +4,21 @@ An :class:`ArchConfig` is one point in the student architecture space:
 five searched hyperparameters (encoder layers, hidden width, attention
 heads, feed-forward width, vocabulary size) plus two fixed context
 parameters (maximum sequence length and number of output classes).
-A :class:`SearchSpace` holds the per-hyperparameter grids of legal
-values for student models; its ``grids`` are the one list of them that
-the space's size and the GA's draws read.
+A :class:`SearchSpace` is five grids of legal student values, one per
+searched field: ``range``s for layers, hidden, ffn and vocab, a tuple
+for heads. Its ``grids`` are the one list of them that the space's size
+and the GA's draws read, and it refuses on construction any grid that
+is empty, holds a value below 1 or is not strictly ascending, and any
+hidden width that some heads value does not split.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 SEARCHED_FIELDS = ("layers", "hidden", "heads", "ffn", "vocab")
@@ -49,11 +53,11 @@ class ArchConfig:
     def from_dict(cls, doc: dict) -> "ArchConfig":
         if not isinstance(doc, dict):
             raise ValueError(f"config document must be a JSON object, got {doc!r:.40}")
-        known = {f: doc[f] for f in (*SEARCHED_FIELDS, "max_seq_len", "num_classes") if f in doc}
-        missing = [f for f in SEARCHED_FIELDS if f not in known]
-        if missing:
+        if unknown := set(doc) - {f.name for f in fields(cls)}:
+            raise ValueError(f"unknown config keys {sorted(unknown, key=str)}")
+        if missing := [f for f in SEARCHED_FIELDS if f not in doc]:
             raise ValueError(f"config document missing fields: {missing}")
-        return cls(**known)
+        return cls(**doc)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -64,41 +68,28 @@ class ArchConfig:
 
 
 @dataclass(frozen=True)
-class GridRange:
-    """Inclusive [lower, upper] range walked at a fixed step."""
-
-    lower: int
-    upper: int
-    step: int
-
-    def __post_init__(self):
-        if self.lower < 1 or self.upper < self.lower or self.step < 1:
-            raise ValueError(f"bad grid range {self}")
-        if (self.upper - self.lower) % self.step != 0:
-            raise ValueError(f"upper not on grid: {self}")
-
-    def values(self) -> range:
-        return range(self.lower, self.upper + 1, self.step)
-
-    def size(self) -> int:
-        return (self.upper - self.lower) // self.step + 1
-
-
-@dataclass(frozen=True)
 class SearchSpace:
     """Legal value grids for the five searched hyperparameters."""
 
-    layers: GridRange
-    hidden: GridRange
+    layers: range
+    hidden: range
     heads: tuple[int, ...]
-    ffn: GridRange
-    vocab: GridRange
+    ffn: range
+    vocab: range
+
+    def __post_init__(self):
+        for field, grid in zip(SEARCHED_FIELDS, self.grids):
+            if not grid or grid[0] < 1 or any(a >= b for a, b in zip(grid, grid[1:])):
+                raise ValueError(f"{field} grid {grid} must be non-empty, "
+                                 f"positive and strictly ascending")
+        for hidden, heads in itertools.product(self.hidden, self.heads):
+            if hidden % heads:
+                raise ValueError(f"hidden {hidden} does not split over {heads} heads")
 
     @functools.cached_property
     def grids(self) -> tuple[Sequence[int], ...]:
         """Each searched field's legal values, in ``SEARCHED_FIELDS`` order."""
-        return tuple(self.heads if field == "heads" else getattr(self, field).values()
-                     for field in SEARCHED_FIELDS)
+        return tuple(getattr(self, field) for field in SEARCHED_FIELDS)
 
     def grid_values(self, field: str) -> Sequence[int]:
         return self.grids[SEARCHED_FIELDS.index(field)]
@@ -121,11 +112,11 @@ class Verdict:
 def default_table1() -> SearchSpace:
     """The default student search grid (11,059,200 combinations)."""
     return SearchSpace(
-        layers=GridRange(1, 12, 1),
-        hidden=GridRange(16, 768, 16),
+        layers=range(1, 12 + 1),
+        hidden=range(16, 768 + 1, 16),
         heads=(1, 2, 4, 8),
-        ffn=GridRange(32, 3072, 32),
-        vocab=GridRange(1000, 50000, 1000),
+        ffn=range(32, 3072 + 1, 32),
+        vocab=range(1000, 50000 + 1, 1000),
     )
 
 
@@ -142,17 +133,8 @@ def pretrained_reference() -> ArchConfig:
 
 def validate(config: ArchConfig, space: SearchSpace) -> Verdict:
     """Check every searched field against its grid; first violation wins."""
-    for field in SEARCHED_FIELDS:
+    for field, grid in zip(SEARCHED_FIELDS, space.grids):
         value = getattr(config, field)
-        if field == "heads":
-            if value not in space.heads:
-                return Verdict(False, f"heads={value} not in {set(space.heads)}")
-            continue
-        grid: GridRange = getattr(space, field)
-        if value < grid.lower:
-            return Verdict(False, f"{field}={value} below lower bound {grid.lower}")
-        if value > grid.upper:
-            return Verdict(False, f"{field}={value} above upper bound {grid.upper}")
-        if (value - grid.lower) % grid.step != 0:
-            return Verdict(False, f"{field}={value} off-grid (step {grid.step} from {grid.lower})")
+        if value not in grid:
+            return Verdict(False, f"{field}={value} not in {grid}")
     return Verdict(True)

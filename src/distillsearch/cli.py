@@ -153,10 +153,10 @@ def cmd_search(args, out: Path) -> dict:
 
 def cmd_teach(args, out: Path) -> dict:
     config = nn.read_artifact(args.config, ArchConfig.from_json) if args.config else DEFAULT_TEACHER
-    data = _load_or_generate_corpus(out, args.seed)
     params = nn.TrainParams(
         learning_rate=args.lr, epochs=args.epochs,
         batch_size=args.batch_size, rng_seed=args.seed, dtype=COMPUTE_DTYPE)
+    data = _load_or_generate_corpus(out, args.seed)
     result = corpus_mod.train_teacher(config, data.labeled, params, val=data.val)
     nn.save_checkpoint(result.model, out / "teacher.ckpt")
     test_acc = corpus_mod.accuracy(result.model, data.test)
@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="parameter/size/FLOPs estimate for a config")
     p.add_argument("config", help="config JSON path, or 'reference'")
     p.add_argument("--seq-len", type=int, default=400)
-    p.add_argument("--bytes-per-param", type=int, default=4, choices=(1, 2, 4, 8))
+    p.add_argument("--bytes-per-param", type=int, default=4,
+                   choices=estimators.VALID_BYTES_PER_PARAM)
     p.add_argument("--space", choices=("none", "table1"), default="none",
                    help="validate against the student grid before estimating")
     p.set_defaults(func=cmd_estimate)

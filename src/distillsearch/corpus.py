@@ -88,7 +88,7 @@ def _random_example(spec: SyntheticTaskSpec, rng, seen, label: int, max_tries=20
             ids[pos], ids[pos + 1] = spec.rule_params
         if rule_label(spec, ids) == label and tuple(ids) not in seen:
             return ids
-    raise RuntimeError(f"could not generate a fresh example with label {label}")
+    raise ValueError(f"could not generate a fresh example with label {label}")
 
 
 def generate(spec: SyntheticTaskSpec) -> Corpus:
@@ -113,7 +113,7 @@ def generate(spec: SyntheticTaskSpec) -> Corpus:
     for split in (labeled, val, test):
         frac = sum(ex.label for ex in split) / max(len(split), 1)
         if split and not 0.45 <= frac <= 0.55:
-            raise RuntimeError(f"split balance {frac:.3f} outside [0.45, 0.55]")
+            raise ValueError(f"split balance {frac:.3f} outside [0.45, 0.55]")
     return Corpus(spec, labeled, unlabeled, val, test)
 
 

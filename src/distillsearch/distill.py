@@ -100,8 +100,8 @@ class DistillParams(nn.TrainParams):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature!r}")
 
 
 def _valid(config: ArchConfig, ids) -> bool:

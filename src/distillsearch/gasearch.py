@@ -36,9 +36,11 @@ read from the ranked survivors without scoring anything again.
 
 A :class:`Chromosome` is a named tuple: the operators slice it, and
 hashing, equality and ranking run in C. Its genes are drawn from the
-space's own grids, ``SearchSpace.grids``. The loop's ``rng`` calls, in
-order and with their arguments, are the trajectory; a rewrite that keeps
-every call keeps every pick, history and population bit for bit.
+space's own grids, ``SearchSpace.grids``, where every hidden width splits
+over every heads value, so any mix of grid genes is a legal config. The
+loop's ``rng`` calls, in order and with their arguments, are the
+trajectory; a rewrite that keeps every call keeps every pick, history
+and population bit for bit.
 """
 
 from __future__ import annotations
@@ -90,8 +92,9 @@ class GaParams:
             raise ValueError("crossover_rate must be in [0, 1]")
         if self.max_iter < 1 or self.child_size < 1:
             raise ValueError("max_iter and child_size must be >= 1")
-        if self.target_size_mb <= 0:
-            raise ValueError("target_size_mb must be positive")
+        if not 0 < self.target_size_mb < np.inf:
+            raise ValueError(f"target_size_mb must be positive and finite, "
+                             f"got {self.target_size_mb!r}")
 
 
 @dataclass
@@ -166,15 +169,15 @@ def _nearest_vocab(config, space: SearchSpace, params: GaParams) -> np.ndarray:
     smaller vocab."""
     grid, target = space.vocab, params.target_size_mb
     lo, above = (estimators.model_size(SimpleNamespace(**{**vars(config), "vocab": v})).megabytes
-                 for v in (grid.lower, grid.lower + grid.step))
+                 for v in (grid.start, grid.start + grid.step))
     slope = above - lo
-    k = np.clip(np.rint((target - lo) / slope), 0, grid.size() - 1)
+    k = np.clip(np.rint((target - lo) / slope), 0, len(grid) - 1)
     # sizes are exact multiples of 2**-18 MB, so lo + j * slope is the exact
     # size at index j; comparing the neighbours settles a rounded half step
     j = np.maximum(k - 1, 0)
-    for step in (k, np.minimum(k + 1, grid.size() - 1)):
+    for step in (k, np.minimum(k + 1, len(grid) - 1)):
         j = np.where(abs(lo + step * slope - target) < abs(lo + j * slope - target), step, j)
-    return (grid.lower + j * grid.step).astype(np.int64)
+    return (grid.start + j * grid.step).astype(np.int64)
 
 
 def _survivors(merged: list, params: GaParams) -> tuple[list, int]:
@@ -203,22 +206,19 @@ def search(space: SearchSpace, params: GaParams) -> GaResult:
     # score every (layers, hidden, ffn) once, on broadcast gene grids; heads
     # enters neither estimator, and 1 splits any width
     grids = space.layers, space.hidden, space.ffn
-    layers, hidden, ffn = np.ix_(*(np.array(grid.values()) for grid in grids))
+    layers, hidden, ffn = np.ix_(*map(np.array, grids))
     table = SimpleNamespace(layers=layers, hidden=hidden, heads=1, ffn=ffn, vocab=None,
                             max_seq_len=params.max_seq_len, num_classes=params.num_classes)
     vocab = table.vocab = _nearest_vocab(table, space, params)
     fit, gap = _fitness_gap(table, params)
 
     # a chromosome's table index is its (layers, hidden, ffn) in grid steps
-    lower, step = np.array([(grid.lower, grid.step) for grid in grids]).T
+    lower, step = np.array([(grid.start, grid.step) for grid in grids]).T
     vocab, rank, gap = vocab.ravel(), -fit.ravel(), gap.ravel()
 
     def evaluate(chromosomes: list[Chromosome]) -> list[tuple[float, float, Chromosome]]:
         # columns in GENE_ORDER: layers, hidden, heads, ffn, vocab
         genes = np.fromiter(chain.from_iterable(chromosomes), np.int64).reshape(-1, 5)
-        split = genes[:, 1] % genes[:, 2]
-        if split.any():  # raises for the first whose hidden does not split over heads
-            chromosomes[split.argmax()].to_config(params.max_seq_len, params.num_classes)
         at = np.ravel_multi_index(((genes[:, [0, 1, 3]] - lower) // step).T, fit.shape)
         genes[:, 4] = vocab[at]
         return list(zip(rank[at].tolist(), gap[at].tolist(),

@@ -124,10 +124,6 @@ def _layout(config: ArchConfig) -> tuple[tuple[str, tuple[int, ...], int, int], 
     return tuple(layout)
 
 
-def weight_names(config: ArchConfig) -> list[str]:
-    return [name for name, *_ in _layout(config)]
-
-
 def _compute_dtype(dtype) -> np.dtype:
     """``dtype`` as a numpy dtype if it is one of :data:`DTYPES`; else ValueError."""
     try:
@@ -661,9 +657,11 @@ class TrainParams:
 
     def __post_init__(self):
         _compute_dtype(self.dtype)
-        if not (self.learning_rate > 0 and self.max_grad_norm > 0):
-            raise ValueError(f"learning_rate and max_grad_norm must be positive, got "
-                             f"{self.learning_rate!r} and {self.max_grad_norm!r}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate!r}")
+        if not self.max_grad_norm > 0:  # inf never clips
+            raise ValueError(f"max_grad_norm must be positive, got {self.max_grad_norm!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from distillsearch.archspace import (
     SEARCHED_FIELDS,
     ArchConfig,
-    GridRange,
+    SearchSpace,
     default_table1,
     pretrained_reference,
     validate,
@@ -48,16 +48,34 @@ class TestSearchSpace:
     def test_grid_values_on_grid(self):
         space = default_table1()
         for field in ("layers", "hidden", "ffn", "vocab"):
-            grid: GridRange = getattr(space, field)
-            for v in grid.values():
-                assert grid.lower <= v <= grid.upper
-                assert (v - grid.lower) % grid.step == 0
+            grid: range = getattr(space, field)
+            for v in grid:
+                assert grid.start <= v < grid.stop
+                assert (v - grid.start) % grid.step == 0
 
     def test_hidden_heads_divisibility_exhaustive(self):
         space = default_table1()
         for h in space.grid_values("hidden"):
             for a in space.heads:
                 assert h % a == 0
+
+    @pytest.mark.parametrize("field, grid, message", [
+        ("layers", range(1, 1), "layers grid"),
+        ("ffn", range(0, 64 + 1, 32), "ffn grid"),
+        ("vocab", range(5000, 1000 - 1, -1000), "vocab grid"),
+        ("heads", (), "heads grid"),
+        ("heads", (0, 1), "heads grid"),
+        ("heads", (2, 1), "heads grid"),
+        ("heads", (1, 1), "heads grid"),
+        ("heads", (1, 3), "hidden 16 does not split over 3 heads"),
+        ("hidden", range(24, 48 + 1, 24), "hidden 24 does not split over 16 heads"),
+    ])
+    def test_space_refuses_a_bad_grid(self, field, grid, message):
+        grids = dict(layers=range(1, 2 + 1), hidden=range(16, 32 + 1, 16), heads=(1, 2, 16),
+                     ffn=range(32, 64 + 1, 32), vocab=range(1000, 2000 + 1, 1000))
+        SearchSpace(**grids)  # the base space is legal
+        with pytest.raises(ValueError, match=message):
+            SearchSpace(**{**grids, field: grid})
 
 
 class TestValidate:
@@ -80,7 +98,7 @@ class TestValidate:
     def test_vocab_off_grid(self):
         verdict = validate(make(1, 16, 1, 32, 1500), default_table1())
         assert not verdict.ok
-        assert "vocab" in verdict.violation
+        assert verdict.violation == "vocab=1500 not in range(1000, 50001, 1000)"
 
 
 class TestPretrainedReference:
@@ -111,6 +129,11 @@ class TestSerialization:
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError):
             ArchConfig.from_dict({"layers": 1, "hidden": 16})
+
+    def test_unknown_key_rejected_and_named(self):
+        doc = {**make(1, 16, 1, 32, 1000).to_dict(), "max_seq_length": 64}
+        with pytest.raises(ValueError, match=r"unknown config keys \['max_seq_length'\]"):
+            ArchConfig.from_dict(doc)
 
 
 @given(

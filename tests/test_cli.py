@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import errno
 import json
@@ -60,6 +61,18 @@ class TestEstimate:
         b = json.loads(capsys.readouterr().out)
         assert a["megabytes"] == b["megabytes"]
         assert a["gflops"] < b["gflops"]
+
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+        # a dropped max_seq_length would leave max_seq_len at 512 and count its positions
+        doc = {**ArchConfig(layers=1, hidden=16, heads=1, ffn=32, vocab=1000).to_dict(),
+               "max_seq_length": 64}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert run(tmp_path, "estimate", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert "cfg.json" in captured.err and "max_seq_length" in captured.err
 
     def test_missing_config_exit_3(self, tmp_path):
         assert run(tmp_path, "estimate", str(tmp_path / "nope.json")) == 3
@@ -267,6 +280,10 @@ class TestErrorContract:
     def test_teach_batch_size_zero_exit_2(self, small_corpus_dir, capsys):
         assert run(small_corpus_dir, "teach", "--batch-size", "0") == 2
         assert "batch_size" in capsys.readouterr().err
+
+    def test_teach_refuses_its_flags_before_writing_a_corpus(self, tmp_path):
+        assert run(tmp_path, "teach", "--lr=inf") == 2
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", [["--batch-size", "0"], ["--temperature", "0"],
                                       ["--lr=0"], ["--lr=-1e-3"]])
@@ -489,6 +506,26 @@ class TestDamagedArtifacts:
                      ["capture"], DISTILL, ["bench", "--n", "5"]):
             assert run(damaged, *argv) == 2
 
+
+
+SUBCOMMANDS = next(action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)).choices
+FLOAT_OPTIONS = [(command, action.option_strings[0]) for command, sub in SUBCOMMANDS.items()
+                 for action in sub._actions if action.type is float]
+# what each command needs besides the flag under test, kept short should a value be accepted
+FLOAT_BASE_ARGV = {"search": ["--target-mb", "3", "--iterations", "1"],
+                   "teach": ["--epochs", "1"], "distill": ["--epochs", "1"]}
+
+
+@pytest.mark.parametrize("command, flag", FLOAT_OPTIONS)
+def test_non_finite_float_flag_exit_2(damaged, capsys, command, flag):
+    # the params refuse the value before any model trains or any search runs
+    report = (damaged / "report.json").read_bytes()
+    for value in ("nan", "inf", "-inf"):
+        capsys.readouterr()
+        assert run(damaged, command, *FLOAT_BASE_ARGV.get(command, []), f"{flag}={value}") == 2
+        assert capsys.readouterr().err.count("error:") == 1
+        assert (damaged / "report.json").read_bytes() == report
 
 
 def report_entry(out, command):

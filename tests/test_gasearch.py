@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from distillsearch import estimators, gasearch
-from distillsearch.archspace import ArchConfig, GridRange, SearchSpace, default_table1, validate
+from distillsearch.archspace import ArchConfig, SearchSpace, default_table1, validate
 from distillsearch.gasearch import (
     Chromosome,
     GaParams,
@@ -21,9 +21,9 @@ from distillsearch.gasearch import (
 )
 
 SPACE = default_table1()
-SMALL_SPACE = SearchSpace(layers=GridRange(1, 3, 1), hidden=GridRange(16, 64, 16),
-                          heads=(1, 2, 8), ffn=GridRange(32, 128, 32),
-                          vocab=GridRange(1000, 5000, 1000))
+SMALL_SPACE = SearchSpace(layers=range(1, 3 + 1), hidden=range(16, 64 + 1, 16),
+                          heads=(1, 2, 8), ffn=range(32, 128 + 1, 32),
+                          vocab=range(1000, 5000 + 1, 1000))
 
 
 def initial_population(n, rng):
@@ -164,7 +164,8 @@ class TestMutation:
     def test_each_space_draws_from_its_own_grids(self):
         # alternate two spaces: every call reads the grids of the space it is given
         c = Chromosome(1, 16, 1, 32, 1000)
-        other = dataclasses.replace(SMALL_SPACE, heads=(4,), vocab=GridRange(7000, 9000, 1000))
+        other = dataclasses.replace(SMALL_SPACE, heads=(4,),
+                                    vocab=range(7000, 9000 + 1, 1000))
         for _ in range(3):
             assert mutation(c, SMALL_SPACE, FixedCut([2, 2, 3, 4])) == (1, 16, 8, 128, 5000)
             assert mutation(c, other, FixedCut([2, 0, 3, 2])) == (1, 16, 4, 128, 9000)
@@ -252,9 +253,9 @@ class TestSearch:
 
     def test_copies_fill_when_too_few_distinct(self):
         # two repaired chromosomes exist in this space: ffn 32 and ffn 64
-        space = SearchSpace(layers=GridRange(1, 1, 1), hidden=GridRange(16, 16, 16),
-                            heads=(1,), ffn=GridRange(32, 64, 32),
-                            vocab=GridRange(1000, 5000, 1000))
+        space = SearchSpace(layers=range(1, 1 + 1), hidden=range(16, 16 + 1, 16),
+                            heads=(1,), ffn=range(32, 64 + 1, 32),
+                            vocab=range(1000, 5000 + 1, 1000))
         params = GaParams(population_size=4, max_iter=3, child_size=4, rng_seed=0)
         res = search(space, params)
         assert len(res.population) == 4
@@ -298,22 +299,20 @@ class TestSearch:
 
     def test_distinct_count_below_population_in_a_small_space(self):
         # two repaired chromosomes exist here, fewer than the population of 4
-        space = SearchSpace(layers=GridRange(1, 1, 1), hidden=GridRange(16, 16, 16),
-                            heads=(1,), ffn=GridRange(32, 64, 32),
-                            vocab=GridRange(1000, 5000, 1000))
+        space = SearchSpace(layers=range(1, 1 + 1), hidden=range(16, 16 + 1, 16),
+                            heads=(1,), ffn=range(32, 64 + 1, 32),
+                            vocab=range(1000, 5000 + 1, 1000))
         res = search(space, GaParams(population_size=4, max_iter=3, child_size=4, rng_seed=0))
         assert all(1 <= d <= 2 for d in res.distinct_history)
         assert res.distinct_history[-1] == 2 < 4
 
     def test_head_split_checked_for_every_chromosome(self):
-        # hidden 12 does not split over 8 heads; sharing a score across
-        # heads must not let such a chromosome through
-        space = SearchSpace(layers=GridRange(1, 2, 1), hidden=GridRange(12, 24, 12),
-                            heads=(1, 8), ffn=GridRange(32, 64, 32),
-                            vocab=GridRange(1000, 5000, 1000))
-        params = GaParams(population_size=4, max_iter=3, child_size=4, rng_seed=0)
-        with pytest.raises(ValueError, match="divisible by heads"):
-            search(space, params)
+        # hidden 12 does not split over 8 heads: the space refuses the pair
+        # when it is built, so no chromosome of a search can hold it
+        with pytest.raises(ValueError, match="hidden 12 does not split over 8 heads"):
+            SearchSpace(layers=range(1, 2 + 1), hidden=range(12, 24 + 1, 12),
+                        heads=(1, 8), ffn=range(32, 64 + 1, 32),
+                        vocab=range(1000, 5000 + 1, 1000))
 
     def test_budget_below_the_smallest_architecture_rejected(self):
         smallest = Chromosome(1, 16, 1, 32, 1000).to_config(max_seq_len=32)
@@ -480,8 +479,8 @@ class TestFitnessStructure:
     def test_one_vocab_step_moves_size_by_a_constant(self, c, params):
         grid = SPACE.vocab
         at = [self.size(Chromosome(c.layers, c.hidden, c.heads, c.ffn, v), params).megabytes
-              for v in (grid.lower, grid.lower + grid.step)]
-        vocab = min(c.vocab, grid.upper - grid.step)
+              for v in grid[:2]]
+        vocab = min(c.vocab, grid[-2])
         here, above = (self.size(Chromosome(c.layers, c.hidden, c.heads, c.ffn, v),
                                  params).megabytes for v in (vocab, vocab + grid.step))
         assert above - here == at[1] - at[0]
