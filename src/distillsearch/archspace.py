@@ -5,11 +5,12 @@ five searched hyperparameters (encoder layers, hidden width, attention
 heads, feed-forward width, vocabulary size) plus two fixed context
 parameters (maximum sequence length and number of output classes).
 A :class:`SearchSpace` is five grids of legal student values, one per
-searched field: ``range``s for layers, hidden, ffn and vocab, a tuple
-for heads. Its ``grids`` are the one list of them that the space's size
-and the GA's draws read, and it refuses on construction any grid that
-is empty, holds a value below 1 or is not strictly ascending, and any
-hidden width that some heads value does not split.
+searched field: ``range``s for layers, hidden, ffn and vocab, a tuple for
+heads. Its ``grids`` are the one list of them that the space's size and the
+GA's draws read. On construction it refuses a layers, hidden, ffn or vocab
+grid that is not a ``range``, any grid that is empty, holds a value below 1
+or is not strictly ascending, and any hidden width that some heads value
+does not split.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ class SearchSpace:
 
     def __post_init__(self):
         for field, grid in zip(SEARCHED_FIELDS, self.grids):
+            if field != "heads" and type(grid) is not range:
+                raise ValueError(f"{field} grid {grid!r} must be a range")
             if not grid or grid[0] < 1 or any(a >= b for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{field} grid {grid} must be non-empty, "
                                  f"positive and strictly ascending")

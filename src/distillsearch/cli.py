@@ -186,6 +186,9 @@ def cmd_capture(args, out: Path) -> dict:
 
 
 def cmd_distill(args, out: Path) -> dict:
+    params = distill_mod.DistillParams(
+        temperature=args.temperature, learning_rate=args.lr, epochs=args.epochs,
+        batch_size=args.batch_size, rng_seed=args.seed, dtype=COMPUTE_DTYPE)
     dataset = distill_mod.LogitDataset.load(_require(out / "logits.ldst", "capture"))
     teacher = nn.load_checkpoint(_require(out / "teacher.ckpt", "teach"), COMPUTE_DTYPE)
     student_config = nn.read_artifact(
@@ -195,19 +198,13 @@ def cmd_distill(args, out: Path) -> dict:
                                          num_classes=teacher.config.num_classes)
     data = _load_or_generate_corpus(out, args.seed)
 
-    vocab_map = None
-    if student_config.vocab < teacher.config.vocab:
-        vocab_map = distill_mod.build_vocab_map(data.unlabeled, student_config.vocab)
-    params = distill_mod.DistillParams(
-        temperature=args.temperature, learning_rate=args.lr, epochs=args.epochs,
-        batch_size=args.batch_size, rng_seed=args.seed, vocab_map=vocab_map,
-        dtype=COMPUTE_DTYPE)
-    student, trace = distill_mod.distill_train(student_config, dataset, params)
+    vocab_map = distill_mod.build_vocab_map(data.unlabeled, student_config.vocab,
+                                            teacher.config.vocab)
+    student, trace = distill_mod.distill_train(student_config, dataset, params, vocab_map)
     nn.save_checkpoint(student, out / "student.ckpt")
 
     test_ids = [ex.ids for ex in data.test]
-    logits = nn.predict_logits(  # run the student over the test split once, for both rates
-        student, [distill_mod.apply_vocab_map(ids, vocab_map) for ids in test_ids])
+    logits = nn.predict_logits(student, test_ids)  # once, for both rates
     test_acc = nn.match_rate(logits, [ex.label for ex in data.test])
     teacher_agree = nn.match_rate(logits, nn.predict_logits(teacher, test_ids))
     print(f"student: test acc {test_acc:.4f}, teacher agreement {teacher_agree:.4f}")
@@ -254,8 +251,7 @@ def cmd_bench(args, out: Path) -> dict:
     with limiter:
         for path in paths:
             model = nn.load_checkpoint(path, COMPUTE_DTYPE)
-            seqs = [distill_mod.apply_vocab_map(ids, model.vocab_map)[: model.config.max_seq_len]
-                    for ids in sample]
+            seqs = [ids[: model.config.max_seq_len] for ids in sample]
             means = _bench_model(model, seqs, args.repeats)
             seq_len = min(args.seq_len, model.config.max_seq_len)
             results[path.name] = {

@@ -11,7 +11,8 @@ softened teacher rows softmax(p/T) in place of one-hot labels.
 :func:`distill_train` softens them once per run. Gradients flow to the
 student logits q only; the teacher stays fixed. The student trains through
 :func:`nn.train_loop`, the teacher's loop, and every evaluation (capture and
-the student's losses) runs on :func:`nn.predict_logits`.
+the student's losses) runs on :func:`nn.predict_logits`. A student built with
+the map of :func:`build_vocab_map` reads teacher ids; no caller maps an id.
 """
 
 from __future__ import annotations
@@ -96,7 +97,6 @@ def _logits(value, num_classes: int) -> list:
 class DistillParams(nn.TrainParams):
     epochs: int = 20
     temperature: float = 2.0
-    vocab_map: dict[int, int] | None = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -123,21 +123,18 @@ def capture_teacher_logits(teacher: EncoderModel, unlabeled,
     return LogitDataset(seqs, nn.predict_logits(teacher, seqs))
 
 
-def build_vocab_map(corpus, student_vocab: int) -> dict[int, int]:
+def build_vocab_map(corpus, student_vocab: int, teacher_vocab: int) -> dict[int, int] | None:
     """Frequency-truncating remap: top student_vocab-1 tokens keep dense
-    ids 1.., everything else collapses to the unknown id 0."""
+    ids 1.., everything else collapses to the unknown id 0. None when the
+    student's vocab is not below the teacher's: it reads the teacher's ids."""
+    if student_vocab >= teacher_vocab:
+        return None
     counts = Counter()
     for ids in corpus:
         counts.update(int(i) for i in ids)
     kept = [tok for tok, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
     kept = kept[: student_vocab - 1]
     return {tok: i + 1 for i, tok in enumerate(kept)}
-
-
-def apply_vocab_map(ids, vocab_map: dict[int, int] | None) -> list[int]:
-    if vocab_map is None:
-        return list(map(int, ids))
-    return [vocab_map.get(int(i), 0) for i in ids]
 
 
 @dataclass
@@ -151,22 +148,18 @@ def _mean_loss(model: EncoderModel, seqs, targets, temperature: float) -> float:
     return float(nn.soft_ce(targets, nn.predict_logits(model, seqs), temperature)[0].mean())
 
 
-def distill_train(student_config: ArchConfig, data: LogitDataset,
-                  params: DistillParams) -> tuple[EncoderModel, DistillTrace]:
-    """Train a fresh student on the captured teacher logits.
-
-    The returned student carries ``params.vocab_map``, so a saved
-    checkpoint can map teacher ids on its own.
-    """
+def distill_train(student_config: ArchConfig, data: LogitDataset, params: DistillParams,
+                  vocab_map: dict[int, int] | None = None) -> tuple[EncoderModel, DistillTrace]:
+    """Train a fresh student, built with ``vocab_map``, on the captured teacher
+    logits; the student and a checkpoint of it read teacher ids."""
     rng = np.random.default_rng(params.rng_seed)
-    student = nn.init(student_config, rng, params.dtype)
-    seqs = [apply_vocab_map(ids, params.vocab_map) for ids in data.seqs]
+    student = nn.init(student_config, rng, params.dtype, vocab_map)
     t = params.temperature
     targets = np.exp(nn.log_softmax(data.logits / t))
 
-    trace = DistillTrace(initial_loss=_mean_loss(student, seqs, targets, t))
+    trace = DistillTrace(initial_loss=_mean_loss(student, data.seqs, targets, t))
     trace.epoch_losses = nn.train_loop(
-        student, rng, seqs, lambda batch, logits: nn.soft_ce(targets[batch], logits, t), params)
-    trace.final_loss = _mean_loss(student, seqs, targets, t)
-    student.vocab_map = params.vocab_map
+        student, rng, data.seqs, lambda batch, logits: nn.soft_ce(targets[batch], logits, t),
+        params)
+    trace.final_loss = _mean_loss(student, data.seqs, targets, t)
     return student, trace

@@ -68,9 +68,7 @@ class Chromosome(NamedTuple):
     vocab: int
 
     def to_config(self, max_seq_len: int = 512, num_classes: int = 2) -> ArchConfig:
-        return ArchConfig(layers=self.layers, hidden=self.hidden, heads=self.heads,
-                          ffn=self.ffn, vocab=self.vocab,
-                          max_seq_len=max_seq_len, num_classes=num_classes)
+        return ArchConfig(*self, max_seq_len=max_seq_len, num_classes=num_classes)
 
 
 @dataclass(frozen=True)

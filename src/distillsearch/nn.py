@@ -17,7 +17,8 @@ GELU feed-forward block, each followed by residual add + layer-norm;
 classification from the first token through a tanh pooler and a linear
 head. Weights are views into one flat buffer, as are gradients. Every
 artifact, checkpoint or not, loads through :func:`read_artifact`, which names
-the file of any malformed content.
+the file of any malformed content. A student on a smaller vocabulary maps
+teacher ids in every pass, so every entry point takes teacher ids.
 
 A model computes in its flat buffer's dtype, float64 or float32: every
 activation, cache entry, gradient and Adam moment takes it. Constants are
@@ -140,30 +141,35 @@ def _views(flat: np.ndarray, config: ArchConfig) -> dict[str, np.ndarray]:
     return {name: flat[start:stop].reshape(shape) for name, shape, start, stop in _layout(config)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderModel:
     """Weights for ``config`` as named views into one buffer, ``flat``, whose
     dtype the model computes in, plus the teacher-id to model-id map when the
-    model was distilled onto a smaller vocabulary. Callers apply the map to
-    their ids before :func:`forward`."""
+    model was distilled onto a smaller vocabulary. The model reads teacher ids:
+    every pass sends them through its map, fixed when the model is built."""
 
     config: ArchConfig
     flat: np.ndarray
     vocab_map: dict[int, int] | None = None
     weights: dict[str, np.ndarray] = field(init=False, repr=False)
+    id_table: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.weights = _views(self.flat, self.config)
+        object.__setattr__(self, "weights", _views(self.flat, self.config))
+        if self.vocab_map is not None:  # (keys, ids) by key and a 0 column: memory by entries
+            table = np.array([*sorted(self.vocab_map.items()), (0, 0)], dtype=np.int64)
+            object.__setattr__(self, "id_table", np.ascontiguousarray(table.T))
 
 
 def init(config: ArchConfig, rng: np.random.Generator | int,
-         dtype=np.float64) -> EncoderModel:
+         dtype=np.float64, vocab_map: dict[int, int] | None = None) -> EncoderModel:
     """Seed-deterministic init: N(0, 0.02) matrices, unit LN scales, zero biases, in
-    a ``dtype`` buffer (the same fp64 draws, rounded once for float32)."""
+    a ``dtype`` buffer (the same fp64 draws, rounded once for float32), for a model
+    that reads ids through ``vocab_map`` when one is given."""
     dtype = _compute_dtype(dtype)
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    model = EncoderModel(config, np.empty(_layout(config)[-1][-1], dtype=dtype))
+    model = EncoderModel(config, np.empty(_layout(config)[-1][-1], dtype=dtype), vocab_map)
     for name, w in model.weights.items():
         base = name.split(".")[-1]
         if base.endswith("_g"):
@@ -378,6 +384,10 @@ def _forward_batch(model, ids, counter, want_cache, every_position):
     cfg = model.config
     w = model.weights
     ids = np.asarray(ids, dtype=np.int64)
+    if model.id_table is not None:  # each id as vocab_map.get(i, 0): above every key reads 0
+        keys, values = model.id_table
+        at = np.searchsorted(keys[:-1], ids)
+        ids = np.where(keys[at] == ids, values[at], 0)
     check_inputs(cfg, ids)
     s = ids.shape[1]
     cache = dict(ids=ids, layers=[]) if want_cache else None

@@ -67,15 +67,13 @@ def pipeline(tmp_path_factory):
     state["student_config"] = student_config
 
     logits = distill.capture_teacher_logits(teacher_res.model, data.unlabeled)
-    vocab_map = None
-    if student_config.vocab < TEACHER_CONFIG.vocab:
-        vocab_map = distill.build_vocab_map(data.unlabeled, student_config.vocab)
+    vocab_map = distill.build_vocab_map(data.unlabeled, student_config.vocab,
+                                        TEACHER_CONFIG.vocab)
     dparams = DistillParams(temperature=2.0, epochs=DISTILL_EPOCHS,
-                            rng_seed=PIPELINE_SEED, vocab_map=vocab_map,
-                            dtype=cli.COMPUTE_DTYPE)
+                            rng_seed=PIPELINE_SEED, dtype=cli.COMPUTE_DTYPE)
     state["distill_params"] = dparams
     state["logits"] = logits
-    student, trace = distill.distill_train(student_config, logits, dparams)
+    student, trace = distill.distill_train(student_config, logits, dparams, vocab_map)
     state["student"] = student
     state["distill_trace"] = trace
     nn.save_checkpoint(student, out / "student.ckpt")
@@ -245,15 +243,13 @@ def test_criterion_8_end_to_end_retention(pipeline):
     teacher_res = pipeline["teacher"]
     data = pipeline["corpus"]
     student = pipeline["student"]
-    vocab_map = pipeline["distill_params"].vocab_map
 
     teacher_mb = estimators.model_size(TEACHER_CONFIG).megabytes
     student_mb = estimators.model_size(pipeline["student_config"]).megabytes
 
     teacher_test = corpus.accuracy(teacher_res.model, data.test)
     test_ids = [ex.ids for ex in data.test]
-    student_logits = nn.predict_logits(
-        student, [distill.apply_vocab_map(ids, vocab_map) for ids in test_ids])
+    student_logits = nn.predict_logits(student, test_ids)
     student_test = nn.match_rate(student_logits, [ex.label for ex in data.test])
     teacher_preds = [int(np.argmax(nn.forward(teacher_res.model, ids)))
                      for ids in test_ids]
@@ -309,7 +305,8 @@ def test_criterion_10_determinism(pipeline):
     teach_ok = teacher_rerun.epoch_losses == pipeline["teacher"].epoch_losses
 
     _, trace_rerun = distill.distill_train(
-        pipeline["student_config"], pipeline["logits"], pipeline["distill_params"])
+        pipeline["student_config"], pipeline["logits"], pipeline["distill_params"],
+        pipeline["student"].vocab_map)
     distill_ok = (trace_rerun.epoch_losses == pipeline["distill_trace"].epoch_losses
                   and trace_rerun.final_loss == pipeline["distill_trace"].final_loss)
 

@@ -69,6 +69,10 @@ class TestSearchSpace:
         ("heads", (1, 1), "heads grid"),
         ("heads", (1, 3), "hidden 16 does not split over 3 heads"),
         ("hidden", range(24, 48 + 1, 24), "hidden 24 does not split over 16 heads"),
+        ("layers", (1, 2), "layers grid .* must be a range"),
+        ("hidden", (16, 32), "hidden grid .* must be a range"),
+        ("ffn", [32, 64], "ffn grid .* must be a range"),
+        ("vocab", (1000, 2000), "vocab grid .* must be a range"),
     ])
     def test_space_refuses_a_bad_grid(self, field, grid, message):
         grids = dict(layers=range(1, 2 + 1), hidden=range(16, 32 + 1, 16), heads=(1, 2, 16),

@@ -285,6 +285,12 @@ class TestErrorContract:
         assert run(tmp_path, "teach", "--lr=inf") == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--temperature=inf", "--lr=nan"])
+    def test_distill_refuses_its_flags_before_reading_anything(self, tmp_path, capsys, flag):
+        assert run(tmp_path, "distill", flag) == 2
+        assert capsys.readouterr().err.count("error:") == 1
+        assert not (tmp_path / "task_spec.json").exists()
+
     @pytest.mark.parametrize("flag", [["--batch-size", "0"], ["--temperature", "0"],
                                       ["--lr=0"], ["--lr=-1e-3"]])
     def test_distill_bad_params_exit_2(self, captured_dir, flag):
@@ -469,6 +475,9 @@ class TestDamagedArtifacts:
         (lambda out: edit_line(out / "student.ckpt", 1,
                                lambda d: d["vocab_map"][0].__setitem__(1, -3)),
          BENCH, 2, "student.ckpt"),
+        (lambda out: edit_line(out / "student.ckpt", 1,
+                               lambda d: d["vocab_map"][0].__setitem__(0, 2**70)),
+         BENCH, 2, "student.ckpt"),
         (add_spec_key, ["capture"], 2, "task_spec.json"),
         (lambda out: edit_line(out / "test.jsonl", 0, lambda d: d.pop("label")),
          ["capture"], 2, "test.jsonl"),
@@ -478,6 +487,7 @@ class TestDamagedArtifacts:
             "ldst-logits-wrong-length", "ldst-ids-int",
             "ldst-logit-string", "ldst-logit-nan", "teacher-weight-nan",
             "vocab-map-entry-string", "vocab-map-target-999", "vocab-map-target-negative",
+            "vocab-map-key-beyond-int64",
             "spec-unknown-key", "test-record-without-label", "arch-holds-5",
             "test-split-missing"])
     def test_exit_code_names_the_file(self, damaged, capsys, damage, argv, code, name):

@@ -8,7 +8,6 @@ from distillsearch.archspace import ArchConfig
 from distillsearch.distill import (
     DistillParams,
     LogitDataset,
-    apply_vocab_map,
     build_vocab_map,
     capture_teacher_logits,
     distill_train,
@@ -283,16 +282,84 @@ class TestAgreement:
 
 
 class TestVocabMap:
+    MAP = {5: 1, 7: 2, 1500: 19, 0: 3}  # 0 is a key here; the corpus ids run to 1500
+
+    def mapped(self, dtype=np.float64):
+        """A mapped model of TINY's weights and the same weights without a map."""
+        model = nn.init(TINY, 13, dtype, self.MAP)
+        return model, nn.EncoderModel(TINY, model.flat)
+
     def test_top_tokens_kept_rest_collapse(self):
         corpus = [[5, 5, 5, 7], [5, 7, 9], [9, 11]]
-        vmap = build_vocab_map(corpus, student_vocab=3)
-        # frequencies: 5 -> 4, 7 -> 2... wait 5 appears 4 times, 7 twice, 9 twice, 11 once
+        vmap = build_vocab_map(corpus, student_vocab=3, teacher_vocab=20)
+        # frequencies: 5 four times, 7 and 9 twice each, 11 once
         assert vmap[5] == 1
         assert set(vmap) == {5, 7}  # top student_vocab-1 = 2 tokens (ties by id)
-        assert apply_vocab_map([5, 7, 9, 11], vmap) == [1, 2, 0, 0]
+        model = nn.init(TINY, 14, vocab_map=vmap)
+        plain = nn.EncoderModel(TINY, model.flat)
+        assert np.array_equal(nn.forward(model, [5, 7, 9, 11]), nn.forward(plain, [1, 2, 0, 0]))
 
     def test_identity_when_none(self):
-        assert apply_vocab_map([3, 4], None) == [3, 4]
+        # a student as wide as its teacher gets no map and reads the teacher's ids
+        assert build_vocab_map([[3, 4]], student_vocab=20, teacher_vocab=20) is None
+        assert build_vocab_map([[3, 4]], student_vocab=30, teacher_vocab=20) is None
+        assert nn.init(TINY, 15).vocab_map is None
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_teacher_ids_equal_mapped_ids_bit_for_bit(self, dtype):
+        model, plain = self.mapped(dtype)
+        teacher_ids = [[5, 7, 1500, 42], [0, 9, 7, 5], [1500, 1500, 3, 8]]
+        model_ids = [[self.MAP.get(i, 0) for i in ids] for ids in teacher_ids]
+        got, _ = nn.forward_batch(model, np.array(teacher_ids))
+        want, _ = nn.forward_batch(plain, np.array(model_ids))
+        assert np.array_equal(got, want)
+        for ids, plain_ids in zip(teacher_ids, model_ids):
+            assert np.array_equal(nn.forward(model, ids), nn.forward(plain, plain_ids))
+        assert np.array_equal(nn.predict_logits(model, teacher_ids + [[7]]),
+                              nn.predict_logits(plain, model_ids + [[2]]))
+
+    def test_ids_the_map_lacks_read_zero(self):
+        model, plain = self.mapped()
+        # 10**12 lies above every key, -4 below them; 0 is a key, so it reads 3
+        for teacher_id, model_id in ((10**12, 0), (-4, 0), (1501, 0), (6, 0), (0, 3)):
+            assert np.array_equal(nn.forward(model, [teacher_id, 5]),
+                                  nn.forward(plain, [model_id, 1]))
+
+    def test_empty_map_reads_every_id_as_zero(self):
+        model = nn.init(TINY, 16, vocab_map={})
+        plain = nn.EncoderModel(TINY, model.flat)
+        assert np.array_equal(nn.forward(model, [-1, 0, 7, 10**9]),
+                              nn.forward(plain, [0, 0, 0, 0]))
+
+    def test_training_reads_teacher_ids(self):
+        # a mapped student trains on teacher ids as an unmapped one on mapped ids
+        teacher = nn.init(ArchConfig(layers=1, hidden=8, heads=2, ffn=16, vocab=2000,
+                                     max_seq_len=8), 17)
+        rng = np.random.default_rng(4)
+        data = capture_teacher_logits(teacher, [rng.integers(0, 2000, size=5).tolist()
+                                                for _ in range(32)])
+        vmap = build_vocab_map(data.seqs, TINY.vocab, teacher.config.vocab)
+        params = DistillParams(epochs=2, batch_size=8, rng_seed=5)
+        student, trace = distill_train(TINY, data, params, vmap)
+        assert student.vocab_map is vmap
+        mapped = LogitDataset([[vmap.get(i, 0) for i in ids] for ids in data.seqs], data.logits)
+        plain, plain_trace = distill_train(TINY, mapped, params)
+        assert np.array_equal(student.flat, plain.flat)
+        assert trace == plain_trace
+
+    def test_checkpoint_with_a_huge_key_loads_by_entries(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        nn.save_checkpoint(nn.init(TINY, 19, vocab_map={10**12: 4, 7: 2}), path)
+        loaded = nn.load_checkpoint(path)
+        assert [table.size for table in loaded.id_table] == [3, 3]  # two entries and the 0
+        plain = nn.EncoderModel(TINY, loaded.flat)
+        assert np.array_equal(nn.forward(loaded, [10**12, 7, 10**12 - 1]),
+                              nn.forward(plain, [4, 2, 0]))
+
+    def test_the_map_is_fixed_when_the_model_is_built(self):
+        model = nn.init(TINY, 18)
+        with pytest.raises(AttributeError):
+            model.vocab_map = self.MAP
 
 
 def test_dataset_loss_matches_manual_mean():
