@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -74,16 +75,23 @@ def _write_report(out: Path, doc: dict) -> None:
         tmp.unlink(missing_ok=True)  # gone after a replace; a failed write leaves none
 
 
-def _provenance() -> dict:
-    """What produced a run's bits: batched products round by BLAS kernel and thread
-    count. Versions come from package metadata, so scipy is not imported."""
+@functools.cache
+def _versions() -> dict:
+    """The interpreter, package and BLAS versions, fixed for the life of a process;
+    versions come from package metadata, so scipy is not imported."""
     from importlib import metadata
     import platform
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(),
             "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy"),
-            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "blas": {"name": blas.get("name"), "version": blas.get("version")}}
+
+
+def _provenance() -> dict:
+    """What produced a run's bits: batched products round by BLAS kernel and thread
+    count, so the thread settings are read on each call."""
+    return {**_versions(),
             "env": {name: os.environ.get(name) for name in (
                 "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "OPENBLAS_CORETYPE")}}

@@ -38,9 +38,10 @@ A :class:`Chromosome` is a named tuple: the operators slice it, and
 hashing, equality and ranking run in C. Its genes are drawn from the
 space's own grids, ``SearchSpace.grids``, where every hidden width splits
 over every heads value, so any mix of grid genes is a legal config. The
-loop's ``rng`` calls, in order and with their arguments, are the
-trajectory; a rewrite that keeps every call keeps every pick, history
-and population bit for bit.
+loop's draws, in order, are the trajectory: :class:`_Draws` returns what
+``np.random.default_rng(rng_seed)`` would, from PCG64's raw stream, and a
+rewrite that keeps every draw keeps every pick, history and population
+bit for bit.
 """
 
 from __future__ import annotations
@@ -140,6 +141,8 @@ def fitness(s: Chromosome, params: GaParams) -> float:
 
 
 def random_chromosome(space: SearchSpace, rng: np.random.Generator) -> Chromosome:
+    """Each gene uniform over its grid. Here and in the operators below, ``rng``
+    is anything with ``Generator``'s ``random()`` and ``integers()``."""
     return Chromosome._make(values[rng.integers(len(values))] for values in space.grids)
 
 
@@ -157,6 +160,43 @@ def mutation(c1: Chromosome, space: SearchSpace, rng: np.random.Generator) -> Ch
     for i in range(h, len(GENE_ORDER)):
         genes[i] = grids[i][rng.integers(len(grids[i]))]
     return Chromosome._make(genes)
+
+
+class _Draws:
+    """``np.random.default_rng(seed)``'s ``random()`` and ``integers(low, high)``,
+    draw for draw, from the raw 64-bit outputs of its ``PCG64``, read a block at
+    a time and taken one by one as Python ints; a numpy scalar call costs several
+    times as much. A ``memoryview`` makes each int as it is taken: a list of the
+    whole block left the process about 1.5 MB larger after a few searches.
+    ``random()`` takes the top 53 bits of one output. ``integers`` is Lemire's
+    multiply-and-reject over 32-bit halves, low half first, keeping the high
+    half for the next ``integers`` call as PCG64's ``next_uint32`` does; a
+    range of one value draws nothing. Ranges span 1 to 2**32 values."""
+
+    BLOCK = 1024
+
+    def __init__(self, bitgen: np.random.PCG64):
+        blocks = iter(lambda: memoryview(bitgen.random_raw(self.BLOCK)), None)  # endless
+        self._next64, self._high = chain.from_iterable(blocks).__next__, None
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        if high is None:
+            low, high = 0, low
+        n = high - low
+        if n == 1:
+            return low
+        while True:
+            if self._high is None:
+                x = self._next64()
+                u, self._high = x & 0xFFFFFFFF, x >> 32
+            else:
+                u, self._high = self._high, None
+            m = u * n
+            if m & 0xFFFFFFFF >= (2**32 - n) % n:  # else the draw is biased: reject
+                return low + (m >> 32)
 
 
 def _nearest_vocab(config, space: SearchSpace, params: GaParams) -> np.ndarray:
@@ -199,7 +239,7 @@ def search(space: SearchSpace, params: GaParams) -> GaResult:
         raise ValueError(f"no architecture fits {params.target_size_mb:g} MB: the smallest, "
                          f"{tuple(smallest)} at max_seq_len {params.max_seq_len}, "
                          f"takes {floor_mb:.3f} MB")
-    rng = np.random.default_rng(params.rng_seed)
+    rng = _Draws(np.random.PCG64(params.rng_seed))
     start = time.perf_counter()
     # score every (layers, hidden, ffn) once, on broadcast gene grids; heads
     # enters neither estimator, and 1 splits any width

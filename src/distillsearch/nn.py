@@ -347,9 +347,11 @@ def soft_ce(targets, logits, temperature: float = 1.0) -> tuple[np.ndarray, np.n
 
 
 def token_ids(value) -> list[int]:
-    """``value`` if it is a non-empty list of ints, as stored ids must be; else ValueError."""
+    """``value`` if a non-empty list of int64 ints, as stored ids must be; else ValueError."""
     if not (isinstance(value, list) and value and all(type(i) is int for i in value)):
         raise ValueError(f"token ids must be a non-empty list of integers, got {value!r:.40}")
+    if not -2**63 <= min(value) <= max(value) < 2**63:
+        raise ValueError(f"token ids must fit int64, got {value!r:.40}")
     return value
 
 

@@ -478,6 +478,14 @@ class TestDamagedArtifacts:
         (lambda out: edit_line(out / "student.ckpt", 1,
                                lambda d: d["vocab_map"][0].__setitem__(0, 2**70)),
          BENCH, 2, "student.ckpt"),
+        (lambda out: edit_line(out / "logits.ldst", 1, lambda d: d["ids"].__setitem__(0, 2**70)),
+         DISTILL, 2, "logits.ldst"),
+        (lambda out: edit_line(out / "unlabeled.jsonl", 0,
+                               lambda d: d["ids"].__setitem__(0, 2**70)),
+         ["capture"], 2, "unlabeled.jsonl"),
+        (lambda out: edit_line(out / "unlabeled.jsonl", 0,
+                               lambda d: d["ids"].__setitem__(0, 2**70)),
+         ["capture", "--lenient"], 2, "unlabeled.jsonl"),
         (add_spec_key, ["capture"], 2, "task_spec.json"),
         (lambda out: edit_line(out / "test.jsonl", 0, lambda d: d.pop("label")),
          ["capture"], 2, "test.jsonl"),
@@ -487,7 +495,8 @@ class TestDamagedArtifacts:
             "ldst-logits-wrong-length", "ldst-ids-int",
             "ldst-logit-string", "ldst-logit-nan", "teacher-weight-nan",
             "vocab-map-entry-string", "vocab-map-target-999", "vocab-map-target-negative",
-            "vocab-map-key-beyond-int64",
+            "vocab-map-key-beyond-int64", "ldst-id-beyond-int64", "unlabeled-id-beyond-int64",
+            "unlabeled-id-beyond-int64-lenient",
             "spec-unknown-key", "test-record-without-label", "arch-holds-5",
             "test-split-missing"])
     def test_exit_code_names_the_file(self, damaged, capsys, damage, argv, code, name):
@@ -496,6 +505,12 @@ class TestDamagedArtifacts:
         assert run(damaged, *argv) == code
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and name in err
+
+    def test_token_ids_must_fit_int64(self):
+        assert nn.token_ids([2**63 - 1, -2**63]) == [2**63 - 1, -2**63]
+        for ids in ([2**63], [0, -2**63 - 1]):
+            with pytest.raises(ValueError, match="fit int64"):
+                nn.token_ids(ids)
 
     def test_out_naming_a_file_exit_2(self, damaged, capsys):
         capsys.readouterr()

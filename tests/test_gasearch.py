@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -323,6 +324,78 @@ class TestSearch:
             search(SPACE, GaParams(target_size_mb=floor_mb * (1 - 1e-9), **small))
         res = search(SPACE, GaParams(target_size_mb=floor_mb, **small))  # the floor fits
         assert validate(res.best.to_config(max_seq_len=32), SPACE).ok
+
+
+class TestDraws:
+    """``search`` reads its draws from ``_Draws``, which must return what the
+    ``Generator`` over the same ``PCG64`` returns, call for call."""
+
+    @staticmethod
+    def calls(seed):
+        """A mixed script of ``(method, args)`` calls that reads past one raw block:
+        ranges of one value, small ranges, ranges near 2**32 where Lemire's
+        method rejects often, and ranges with a lower bound."""
+        script = np.random.default_rng([seed, 99])
+        for _ in range(3 * gasearch._Draws.BLOCK):
+            kind = script.integers(5)
+            if kind == 0:
+                yield "random", ()
+            elif kind == 1:
+                yield "integers", (1,)  # draws nothing: the next call must still match
+            elif kind == 2:
+                yield "integers", (int(script.integers(2, 60)),)
+            elif kind == 3:
+                yield "integers", (int(script.integers(2**31, 2**32)),)
+            else:
+                low = int(script.integers(-5, 5))
+                yield "integers", (low, low + int(script.integers(1, 9)))
+
+    @pytest.mark.parametrize("seeds", [range(0, 50), range(50, 100), range(100, 150)])
+    def test_matches_the_generator_draw_for_draw(self, seeds):
+        for seed in seeds:
+            draws = gasearch._Draws(np.random.PCG64(seed))
+            rng = np.random.default_rng(seed)
+            for method, args in self.calls(seed):
+                assert getattr(draws, method)(*args) == getattr(rng, method)(*args), \
+                    (seed, method, args)
+
+    def test_rejects_below_the_threshold_only(self):
+        # for a range of 3 the threshold is (2**32 - 3) % 3 = 1: a low 32 bits of
+        # u * 3 equal to 1 is kept, 0 is drawn again
+        raw = [2863311531, (1 << 32) | (2**32 - 1)]  # 2863311531 * 3 = 2 * 2**32 + 1
+        stub = SimpleNamespace(random_raw=lambda size: np.array(raw + [0] * (size - 2), np.uint64))
+        draws = gasearch._Draws(stub)
+        assert [draws.integers(3) for _ in range(3)] == [2, 2, 0]
+
+    @pytest.mark.parametrize("space, params", [
+        (SPACE, GaParams(population_size=2, max_iter=30, child_size=8, rng_seed=3)),
+        (SPACE, GaParams(crossover_rate=0.0, max_iter=10, rng_seed=4)),
+        (SPACE, GaParams(crossover_rate=1.0, max_iter=10, rng_seed=5)),
+        (dataclasses.replace(SMALL_SPACE, heads=(2,)),
+         GaParams(target_size_mb=0.408, fitness_seq_len=24, max_seq_len=32, rng_seed=6,
+                  population_size=10, max_iter=20, child_size=10)),
+    ], ids=["population-2", "crossover-0", "crossover-1", "one-heads-value"])
+    def test_search_runs_as_with_the_generator(self, monkeypatch, space, params):
+        def run():
+            res = search(space, params)
+            doc = res.to_dict()
+            del doc["elapsed_seconds"]
+            return doc, res.population
+
+        ours = run()
+        monkeypatch.setattr(gasearch, "_Draws", np.random.Generator)
+        assert ours == run()
+
+    def test_each_child_goes_through_one_operator(self, monkeypatch):
+        calls = []
+        for name in ("crossover", "mutation"):
+            operator = getattr(gasearch, name)
+            monkeypatch.setattr(gasearch, name,
+                                lambda *a, op=operator: calls.append(op) or op(*a))
+        params = TestSearch.SMALL
+        search(SPACE, params)
+        assert len(calls) == params.max_iter * params.child_size
+        assert {crossover, mutation} == set(calls)
 
 
 class TestOptimum:
