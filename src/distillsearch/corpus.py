@@ -49,6 +49,9 @@ class SyntheticTaskSpec:
                  self.n_unlabeled, self.n_val, self.n_test, self.rng_seed, t1, t2)
         if any(type(value) is not int for value in sizes):
             raise ValueError("spec sizes, seed and trigger tokens must be integers")
+        for name in ("n_labeled", "n_unlabeled", "n_val", "n_test", "rng_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not (0 < t1 < self.vocab_size and 0 < t2 < self.vocab_size):
             raise ValueError("trigger tokens must lie inside the vocabulary")
         if self.min_seq_len < 2 or self.max_seq_len < self.min_seq_len:

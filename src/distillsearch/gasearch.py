@@ -94,6 +94,8 @@ class GaParams:
         if not 0 < self.target_size_mb < np.inf:
             raise ValueError(f"target_size_mb must be positive and finite, "
                              f"got {self.target_size_mb!r}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass

@@ -39,15 +39,17 @@ Phi is 1.7e-7, where scipy's float32 erf, which runs its float64 loop at 2 to 4
 times the cost, reads 6e-8. Inference GELU runs over blocks of whole
 sequences of at most :data:`GELU_BLOCK` elements, which bounds its temporaries
 and needs far fewer calls than one sequence at a time. A training pass caches
-GELU(x) and its gradient instead of x, so backward does no GELU work; float32
-takes the gradient's exp(-x^2 / 2) from the kernel that gave Phi.
+GELU(x) over x and GELU'(x) beside it, block by block, so backward does no
+GELU work; float32 takes the gradient's exp(-x^2 / 2) from the kernel of Phi.
 
 A batched pass keeps alive only what the next operation or :func:`backward`
-reads. Each attention and feed-forward sub-block, forward and backward,
-runs in a helper of its own, so its temporaries are freed when it returns:
-an inference pass holds at most one (batch, seq, ffn) array and a few
-(batch, seq, hidden) ones. Bias and residual adds, layer norm, softmax and
-GELU's gradient work in place, each step the same operation on the same
+reads. Each attention and feed-forward sub-block, forward and backward, runs
+in a helper of its own, so its temporaries are freed when it returns: an
+inference pass holds at most one (batch, seq, ffn) array and a few (batch,
+seq, hidden) ones. A training cache keeps of a layer norm only its normalized
+input, from which :func:`backward` rebuilds the output, and backward drops
+each entry after its last read. Bias and residual adds, layer norm, softmax
+and GELU's gradient work in place, each step the same operation on the same
 operands as the plain expression, so no bit moves. :func:`backward` writes
 each gradient once, straight into its view of the flat gradient buffer.
 
@@ -203,10 +205,16 @@ def _layer_norm_fwd(x, g, b):
     var = _row_mean(xc * xc)
     var += LN_EPS
     inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
-    xhat = np.multiply(xc, inv, out=xc)
+    cache = (np.multiply(xc, inv, out=xc), inv, g)
+    return _norm_output(cache, b), cache
+
+
+def _norm_output(ln_cache, b):
+    """A layer norm's output ``g * xhat + b`` from its cache and shift, bit for bit."""
+    xhat, _, g = ln_cache
     y = g * xhat
     y += b
-    return y, (xhat, inv, g)
+    return y
 
 
 def _layer_norm_bwd(dy, cache):
@@ -236,11 +244,15 @@ def _gelu(x, out=None):
     ffn) temporaries would set the peak memory of batched inference. Every step is
     elementwise, so the blocks give the bits one sequence at a time would."""
     out = np.empty_like(x) if out is None else out
-    step = max(1, GELU_BLOCK // math.prod(x.shape[1:]))
-    for start in range(0, len(x), step):
-        block = slice(start, start + step)
+    for block in _sequence_blocks(x):
         np.multiply(x[block], _normal_cdf(x[block]), out=out[block])
     return out
+
+
+def _sequence_blocks(x):
+    """Slices of x's first axis, each of whole sequences of at most GELU_BLOCK elements."""
+    step = max(1, GELU_BLOCK // math.prod(x.shape[1:]))
+    return [slice(start, start + step) for start in range(0, len(x), step)]
 
 
 def _normal_cdf(x):
@@ -297,23 +309,24 @@ def _normal_cdf_f32(x):
 
 
 def _gelu_and_grad(u):
-    """(GELU(u), GELU'(u)) in two new arrays, what a training pass keeps for
-    backward: GELU' = Phi + u * exp(-u^2 / 2) / sqrt(2 pi). float32 reuses the exp
-    of :func:`_normal_cdf_f32`, which squares u clamped at +-16 before it halves,
-    where the formula halves first. Halving is exact but on a subnormal square,
-    whose exp is 1 either way, and past +-16 both exps are 0: the bits are the
-    formula's."""
-    if u.dtype == np.float32:
-        phi, grad = _normal_cdf_f32(u)
-    else:
-        phi = _normal_cdf(u)
-        grad = np.multiply(-0.5, u)
-        grad *= u
-        np.exp(grad, out=grad)
-    grad *= u
-    grad /= math.sqrt(2.0 * math.pi)
-    grad += phi
-    return np.multiply(u, phi, out=phi), grad
+    """(GELU(u) written over ``u``, GELU'(u) in one new array), what a training
+    pass keeps for backward, over :func:`_gelu`'s blocks: GELU' = Phi + u *
+    exp(-u^2 / 2) / sqrt(2 pi). float32 reuses the exp of :func:`_normal_cdf_f32`,
+    which squares u clamped at +-16 before it halves, where the formula halves
+    first. Halving is exact but on a subnormal square, whose exp is 1 either
+    way, and past +-16 both exps are 0: the bits are the formula's."""
+    grad = np.empty_like(u)
+    for block in _sequence_blocks(u):
+        x, dg = u[block], grad[block]
+        if u.dtype == np.float32:
+            phi, exp = _normal_cdf_f32(x)
+        else:
+            phi, exp = _normal_cdf(x), np.exp(np.multiply(-0.5, x) * x)
+        np.multiply(exp, x, out=dg)
+        dg /= math.sqrt(2.0 * math.pi)
+        dg += phi
+        np.multiply(x, phi, out=x)
+    return u, grad
 
 
 def softmax(x, out=None):
@@ -408,7 +421,7 @@ def _forward_batch(model, ids, counter, want_cache, every_position):
     pooled = np.tanh(_linear(first, w, "pooler", counter))
     logits = _linear(pooled, w, "cls", counter)
     if cache is not None:
-        cache.update(first=first, pooled=pooled, enc_out=x)
+        cache.update(first=first, pooled=pooled)
     return logits, cache
 
 
@@ -445,8 +458,8 @@ def _attention(x, r, w, p, heads, counter, keep):
     scores *= 1.0 / math.sqrt(dh)
     probs = softmax(scores, out=scores)
     ctx = matmul(probs, vh, counter).transpose(0, 2, 1, 3).reshape(B, r, h)
-    if keep is not None:
-        keep.update(x=x, xq=xq, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx)
+    if keep is not None:  # backward rebuilds x, the output of the norm below
+        keep.update(qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx)
     return _linear(ctx, w, p + "o", counter)
 
 
@@ -457,7 +470,7 @@ def _ffn(x1, w, p, counter, keep):
         g = _gelu(u, out=u)
     else:  # backward reads GELU(u) and GELU'(u), and u no more
         g, dg = _gelu_and_grad(u)
-        keep.update(x1=x1, gelu=g, gelu_grad=dg)
+        keep.update(gelu=g, gelu_grad=dg)
     return _linear(g, w, p + "ffn_down", counter)
 
 
@@ -511,28 +524,30 @@ def backward(model: EncoderModel, cache: dict, dlogits: np.ndarray,
     ``out``, a flat buffer laid out like ``model.flat``, or a new one. Each
     gradient is written once, never added to zeros: only the token embedding's,
     which sums repeated ids, and the rows of unused positions are zeroed first.
-    ``dlogits`` is taken in the model's dtype."""
+    ``dlogits`` is taken in the model's dtype. The cache is spent, each entry popped
+    after its last read; a layer norm's output is rebuilt from it and ``model``."""
     cfg = model.config
     w = model.weights
-    ids = cache["ids"]
+    ids = cache.pop("ids")
     s = ids.shape[1]
     dlogits = np.asarray(dlogits, dtype=model.flat.dtype)
     out = np.empty_like(model.flat) if out is None else out
     grads = _views(out, cfg)
 
-    pooled = cache["pooled"]
+    pooled = cache.pop("pooled")
     dpooled = _linear_backward(pooled, dlogits, w, "cls", grads)
     dpre_pool = dpooled * (1.0 - pooled * pooled)
-    dfirst = _linear_backward(cache["first"], dpre_pool, w, "pooler", grads)
+    dfirst = _linear_backward(cache.pop("first"), dpre_pool, w, "pooler", grads)
 
-    dx = np.zeros_like(cache["enc_out"])
-    dx[:, 0, :] = dfirst
+    dx = dfirst[:, None, :]  # the last layer's output holds position 0 alone
     for i in reversed(range(cfg.layers)):
-        p, lc = f"layer{i}.", cache["layers"][i]
+        p, lc = f"layer{i}.", cache["layers"].pop()
         dx = _ffn_backward(dx, lc, w, p, grads)
-        dx = _attention_backward(dx, lc, w, p, cfg.heads, grads)
+        below = ((cache["layers"][-1]["ln2"], w[f"layer{i - 1}.ffn_ln_b"]) if i
+                 else (cache["emb_ln"], w["emb_ln_b"]))
+        dx = _attention_backward(dx, lc, below, w, p, cfg.heads, grads)
 
-    demb = _add_norm_backward(dx, cache["emb_ln"], grads, "emb_ln")
+    demb = _add_norm_backward(dx, cache.pop("emb_ln"), grads, "emb_ln")
     grads["tok_emb"].fill(0.0)
     np.add.at(grads["tok_emb"], ids, demb)
     demb.sum(0, out=grads["pos_emb"][:s])
@@ -550,33 +565,37 @@ def _add_norm_backward(dy, ln_cache, grads, ln):
 def _ffn_backward(dy, lc, w, p, grads):
     """Gradient into the feed-forward sub-block from ``dy`` (overwritten) at the
     output of its layer norm; writes the sub-block's weight gradients into ``grads``."""
-    dres = _add_norm_backward(dy, lc["ln2"], grads, p + "ffn_ln")
-    du = _linear_backward(lc["gelu"], dres, w, p + "ffn_down", grads)
-    du *= lc["gelu_grad"]
-    dx = _linear_backward(lc["x1"], du, w, p + "ffn_up", grads)
+    dres = _add_norm_backward(dy, lc.pop("ln2"), grads, p + "ffn_ln")
+    du = _linear_backward(lc.pop("gelu"), dres, w, p + "ffn_down", grads)
+    du *= lc.pop("gelu_grad")
+    dx = _linear_backward(_norm_output(lc["ln1"], w[p + "attn_ln_b"]), du, w, p + "ffn_up", grads)
     dx += dres
     return dx
 
 
-def _attention_backward(dy, lc, w, p, heads, grads):
-    """Gradient into the attention sub-block from ``dy`` (overwritten) at the
-    output of its layer norm; writes the sub-block's weight gradients into ``grads``."""
-    dres = _add_norm_backward(dy, lc["ln1"], grads, p + "attn_ln")
-    x, xq, probs = lc["x"], lc["xq"], lc["probs"]
-    B, s, h = x.shape
-    r, dh = xq.shape[1], h // heads  # r is 1 in the last layer (see forward_batch)
-    dctx = _linear_backward(lc["ctx"], dres, w, p + "o", grads)
+def _attention_backward(dy, lc, below, w, p, heads, grads):
+    """Gradient into the attention sub-block, whose input the norm ``below`` (cache, shift)
+    gave, from ``dy`` (overwritten) at its own norm's output; writes its weight gradients."""
+    dres = _add_norm_backward(dy, lc.pop("ln1"), grads, p + "attn_ln")
+    probs = lc.pop("probs")
+    B, r, h = dres.shape  # r is 1 in the last layer (see forward_batch)
+    s, dh = probs.shape[-1], h // heads
+    dctx = _linear_backward(lc.pop("ctx"), dres, w, p + "o", grads)
     dctx_h = dctx.reshape(B, r, heads, dh).transpose(0, 2, 1, 3)
     dvh = probs.transpose(0, 1, 3, 2) @ dctx_h
     # dscores = probs * (dprobs - rowsum(dprobs * probs)) * scale, in the buffer of dprobs
-    dscores = dctx_h @ lc["vh"].transpose(0, 1, 3, 2)
+    dscores = dctx_h @ lc.pop("vh").transpose(0, 1, 3, 2)
     dscores -= (dscores * probs).sum(-1, keepdims=True)
     dscores *= probs
+    del dctx, dctx_h, probs  # spent, as each transient below is after its last read
     dscores *= 1.0 / math.sqrt(dh)
-    dq = (dscores @ lc["kh"]).transpose(0, 2, 1, 3).reshape(B, r, h)
-    dk = (dscores.transpose(0, 1, 3, 2) @ lc["qh"]).transpose(0, 2, 1, 3).reshape(B, s, h)
+    dq = (dscores @ lc.pop("kh")).transpose(0, 2, 1, 3).reshape(B, r, h)
+    dk = (dscores.transpose(0, 1, 3, 2) @ lc.pop("qh")).transpose(0, 2, 1, 3).reshape(B, s, h)
     dv = dvh.transpose(0, 2, 1, 3).reshape(B, s, h)
-    dx = _linear_backward(xq, dq, w, p + "q", grads)
+    del dscores, dvh
+    x = _norm_output(*below)
+    dx = _linear_backward(x[:, :r], dq, w, p + "q", grads)
+    del dq
     dx += dres
     if r < s:
         dx = np.concatenate([dx, np.zeros((B, s - r, h), dtype=dx.dtype)], axis=1)
@@ -676,8 +695,9 @@ class TrainParams:
             raise ValueError(f"max_grad_norm must be positive, got {self.max_grad_norm!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name in ("epochs", "rng_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def train_loop(model: EncoderModel, rng: np.random.Generator, seqs,

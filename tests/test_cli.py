@@ -297,6 +297,15 @@ class TestErrorContract:
         assert run(captured_dir, "distill", *flag) == 2
         assert not (captured_dir / "student.ckpt").exists()
 
+    @pytest.mark.parametrize("argv", [["teach"], ["search", "--target-mb", "3"], ["distill"]])
+    def test_negative_seed_exit_2_naming_it(self, tmp_path, capsys, argv):
+        # refused by the stage's params, before numpy's seeding could say
+        # "expected non-negative integer" without naming the input
+        assert main(["--out", str(tmp_path), "--seed", "-1", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "rng_seed must be >= 0, got -1" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_divergence_exit_4(self, small_corpus_dir, monkeypatch):
         def diverge(*args, **kwargs):
             raise FloatingPointError("training diverged")

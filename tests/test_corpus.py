@@ -62,6 +62,12 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SyntheticTaskSpec(vocab_size=10, rule_params=(7, 11))
 
+    @pytest.mark.parametrize("field", ["n_labeled", "n_unlabeled", "n_val", "n_test", "rng_seed"])
+    def test_negative_split_size_or_seed_rejected_naming_it(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got -3"):
+            SyntheticTaskSpec(**{field: -3})
+        SyntheticTaskSpec(**{field: 0})  # an empty split or seed 0 stays legal
+
 
 class TestCorpusFiles:
     def test_roundtrip(self, tmp_path):
@@ -79,7 +85,10 @@ class TestCorpusFiles:
         ("test.jsonl", lambda text: text[:text.index("\n") + 1]),
         ("val.jsonl", lambda text: text.replace('"label": 1', '"label": 2', 1)),
         ("unlabeled.jsonl", lambda text: text.replace('{"ids": [', '{"ids": [[0], ', 1)),
-    ], ids=["string-seed", "missing-seed", "short-split", "label-2", "nested-ids"])
+        # refused where the spec is read, not as a split whose length disagrees with it
+        ("task_spec.json", lambda text: text.replace('"n_val": 100', '"n_val": -3')),
+    ], ids=["string-seed", "missing-seed", "short-split", "label-2", "nested-ids",
+            "negative-split-size"])
     def test_malformed_file_raises_value_error_naming_it(self, tmp_path, file, damage):
         save_corpus(generate(SMALL_SPEC), tmp_path)
         path = tmp_path / file

@@ -315,6 +315,10 @@ class TestSearch:
                         heads=(1, 8), ffn=range(32, 64 + 1, 32),
                         vocab=range(1000, 5000 + 1, 1000))
 
+    def test_negative_seed_rejected_naming_it(self):
+        with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
+            GaParams(rng_seed=-1)
+
     def test_budget_below_the_smallest_architecture_rejected(self):
         smallest = Chromosome(1, 16, 1, 32, 1000).to_config(max_seq_len=32)
         floor_mb = estimators.model_size(smallest).megabytes

@@ -276,7 +276,7 @@ class TestTrainLoop:
                                      dict(dtype="int32"), dict(dtype="no such type"),
                                      dict(dtype=None), dict(learning_rate=0),
                                      dict(learning_rate=-1e-3), dict(max_grad_norm=0),
-                                     dict(max_grad_norm=-1.0)])
+                                     dict(max_grad_norm=-1.0), dict(rng_seed=-1)])
     def test_params_validated(self, bad):
         with pytest.raises(ValueError):
             nn.TrainParams(**bad)
@@ -344,6 +344,7 @@ class TestBackward:
         logits, cache = nn.forward_batch(model, ids, want_cache=True)
         dl = rng.normal(size=logits.shape)
         g1 = nn.backward(model, cache, dl)
+        _, cache = nn.forward_batch(model, ids, want_cache=True)  # backward spent the first
         g2 = nn.backward(model, cache, 2.0 * dl)
         for name in g1:
             assert np.allclose(2.0 * g1[name], g2[name], rtol=1e-12, atol=1e-12)
@@ -351,10 +352,12 @@ class TestBackward:
     def test_reused_gradient_buffer_is_overwritten(self):
         # train_loop hands backward the previous step's buffer
         model = nn.init(TINY, 6)
-        logits, cache = nn.forward_batch(model, np.array([[1, 2, 3], [4, 5, 6]]), want_cache=True)
+        ids = np.array([[1, 2, 3], [4, 5, 6]])
+        logits, cache = nn.forward_batch(model, ids, want_cache=True)
         dl = np.random.default_rng(6).normal(size=logits.shape)
         fresh = nn.backward(model, cache, dl)
         out = np.full_like(model.flat, np.nan)
+        _, cache = nn.forward_batch(model, ids, want_cache=True)  # backward spent the first
         reused = nn.backward(model, cache, dl, out=out)
         for name in fresh:
             assert np.shares_memory(reused[name], out)
@@ -369,11 +372,11 @@ class TestBackward:
         rng = np.random.default_rng(7)
         model = nn.init(cfg, 7, dtype)
         ids = rng.integers(0, 50, size=(3, 8))
-        logits, cache = nn.forward_batch(model, ids, want_cache=True)
-        dl = rng.normal(size=logits.shape)
+        dl = rng.normal(size=(3, cfg.num_classes))
         results = []
         for fill in (np.nan, 7.0):
             out = np.full_like(model.flat, fill)
+            _, cache = nn.forward_batch(model, ids, want_cache=True)  # one cache per backward
             nn.backward(model, cache, dl, out=out)
             assert not np.isnan(out).any()
             results.append(out)
@@ -528,7 +531,7 @@ class TestKernelBits:
         # float64 caches GELU(x) = x * Phi(x) and its gradient as written out
         _, x = self._data(shape, 22)
         phi = nn._normal_cdf(x)
-        gelu, grad = nn._gelu_and_grad(x)
+        gelu, grad = nn._gelu_and_grad(x.copy())  # GELU is written over its input
         assert np.array_equal(gelu, x * phi)
         assert np.array_equal(grad, gelu_grad(x, phi))
 
@@ -564,7 +567,7 @@ class TestGelu:
                         np.inf, -np.inf, np.nan, -np.nan, 13.0, -13.0, 14.5, -14.5]
         with np.errstate(over="ignore", invalid="ignore"):
             phi = nn._normal_cdf(x)
-            gelu, grad = nn._gelu_and_grad(x)
+            gelu, grad = nn._gelu_and_grad(x.copy())  # GELU is written over its input
             references = x * phi, gelu_grad(x, phi)
         assert gelu.dtype == grad.dtype == np.float32
         # int32 views: every bit, a nan's sign and payload too
@@ -580,6 +583,11 @@ class TestGelu:
         reference = np.stack([xs * nn._normal_cdf(xs) for xs in x])
         got = nn._gelu(x)
         assert got.dtype == dtype and np.array_equal(got, reference)
+        # a training pass writes GELU over its input and keeps GELU' beside it
+        grads = np.stack([nn._gelu_and_grad(xs.copy())[1] for xs in x])
+        u = x.copy()
+        gelu, grad = nn._gelu_and_grad(u)
+        assert gelu is u and np.array_equal(u, reference) and np.array_equal(grad, grads)
         assert nn._gelu(x, out=x) is x and np.array_equal(x, reference)
 
 
@@ -637,6 +645,37 @@ class TestPeakMemory:
         # one (B, s, hidden) array of slack for the batch's ids, logits and loss
         assert peak < (cache_bytes + backward_peak + grad_and_adam
                        + B * s * self.CFG.hidden * itemsize)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_training_cache_keeps_each_activation_once_and_backward_spends_it(self, dtype):
+        B, s = 32, 24
+        cfg = self.CFG
+        model = nn.init(cfg, 32, dtype)
+        ids = np.random.default_rng(32).integers(0, cfg.vocab, size=(B, s))
+        logits, cache = nn.forward_batch(model, ids, want_cache=True)
+        buffers = []
+        for a in float_arrays(cache):
+            while a.base is not None:
+                a = a.base
+            if not np.shares_memory(a, model.flat) and \
+                    not any(np.shares_memory(a, b) for b in buffers):
+                buffers.append(a)
+        itemsize = np.dtype(dtype).itemsize
+
+        def layer(r):
+            # the first r positions of q, the context and the two normalized inputs,
+            # every position of k and v, r rows of probabilities, GELU and GELU',
+            # and the two norms' inverse deviations
+            return (4 * B * r * cfg.hidden + 2 * B * s * cfg.hidden + B * cfg.heads * r * s
+                    + 2 * B * r * cfg.ffn + 2 * B * r)
+
+        # every layer at all s positions but the last, which runs position 0 alone;
+        # emb_ln's normalized input and inverse deviation; the pooler's input and output
+        held = ((cfg.layers - 1) * layer(s) + layer(1) + B * s * (cfg.hidden + 1)
+                + 2 * B * cfg.hidden)
+        assert sum(a.nbytes for a in buffers) <= held * itemsize
+        nn.backward(model, cache, np.ones_like(logits))
+        assert cache["layers"] == []
 
     # the same bounds at 4 bytes an element (pytest passes no default argument)
     def test_inference_pass_in_float32(self):
