@@ -59,7 +59,7 @@ def _read_report(out: Path) -> dict | None:
     path = out / "report.json"
     if not path.exists():
         return None
-    doc = nn.read_artifact(path, json.loads)
+    doc = nn.read_artifact(path, json.load)
     if not isinstance(doc, dict):
         raise ValueError(f"{path} does not hold a JSON object; repair or delete it")
     return doc
@@ -67,12 +67,12 @@ def _read_report(out: Path) -> dict | None:
 
 def _write_report(out: Path, doc: dict) -> None:
     """Replace report.json in one step, so an interrupted write leaves the old file."""
-    tmp = out / "report.json.tmp"
-    try:
+    with nn.write_artifact(out / "report.json") as tmp:
         tmp.write_text(json.dumps(doc, indent=2))
-        os.replace(tmp, out / "report.json")
-    finally:
-        tmp.unlink(missing_ok=True)  # gone after a replace; a failed write leaves none
+
+
+def _read_config(path) -> ArchConfig:
+    return nn.read_artifact(path, lambda fh: ArchConfig.from_json(fh.read()))
 
 
 @functools.cache
@@ -117,7 +117,7 @@ def _load_or_generate_corpus(out: Path, seed: int) -> corpus_mod.Corpus:
 
 def cmd_estimate(args, out: Path) -> dict:
     config = (pretrained_reference() if args.config == "reference"
-              else nn.read_artifact(args.config, ArchConfig.from_json))
+              else _read_config(args.config))
     if args.space == "table1":
         verdict = validate(config, default_table1())
         if not verdict:
@@ -160,7 +160,7 @@ def cmd_search(args, out: Path) -> dict:
 
 
 def cmd_teach(args, out: Path) -> dict:
-    config = nn.read_artifact(args.config, ArchConfig.from_json) if args.config else DEFAULT_TEACHER
+    config = _read_config(args.config) if args.config else DEFAULT_TEACHER
     params = nn.TrainParams(
         learning_rate=args.lr, epochs=args.epochs,
         batch_size=args.batch_size, rng_seed=args.seed, dtype=COMPUTE_DTYPE)
@@ -199,8 +199,7 @@ def cmd_distill(args, out: Path) -> dict:
         batch_size=args.batch_size, rng_seed=args.seed, dtype=COMPUTE_DTYPE)
     dataset = distill_mod.LogitDataset.load(_require(out / "logits.ldst", "capture"))
     teacher = nn.load_checkpoint(_require(out / "teacher.ckpt", "teach"), COMPUTE_DTYPE)
-    student_config = nn.read_artifact(
-        args.student_config or _require(out / "arch.json", "search"), ArchConfig.from_json)
+    student_config = _read_config(args.student_config or _require(out / "arch.json", "search"))
     student_config = dataclasses.replace(student_config,
                                          max_seq_len=teacher.config.max_seq_len,
                                          num_classes=teacher.config.num_classes)
@@ -349,6 +348,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
+        if args.seed < 0:  # refused before --out is made or any file read
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         out = _out_dir(args)
         previous = _read_report(out)
         if args.command == "report":  # prints what the other commands wrote

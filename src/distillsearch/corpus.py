@@ -169,8 +169,8 @@ def save_corpus(corpus: Corpus, out_dir) -> None:
             fh.write(json.dumps({"ids": ids}) + "\n")
 
 
-def _parse_spec(raw: bytes) -> SyntheticTaskSpec:
-    doc = json.loads(raw)
+def _parse_spec(fh) -> SyntheticTaskSpec:
+    doc = json.load(fh)
     if odd := set(doc) ^ {f.name for f in fields(SyntheticTaskSpec)}:
         raise ValueError(f"unknown or missing spec keys {sorted(odd)}")
     return SyntheticTaskSpec(**{**doc, "rule_params": tuple(doc["rule_params"])})
@@ -189,8 +189,8 @@ def load_corpus(out_dir) -> Corpus:
     spec = nn.read_artifact(out / "task_spec.json", _parse_spec)
 
     def split(name, count, parse):
-        def parse_all(raw):
-            records = [parse(json.loads(line)) for line in raw.splitlines()]
+        def parse_all(fh):
+            records = [parse(json.loads(line)) for line in fh.read().splitlines()]
             if len(records) != count:
                 raise ValueError(f"{len(records)} records where the spec says {count}")
             return records

@@ -53,7 +53,8 @@ class LogitDataset:
         return len(self.seqs)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
+        """Write the dataset to ``path`` in one step, a header line and a record a line."""
+        with nn.write_artifact(path) as tmp, tmp.open("w") as fh:
             header = {"version": LDST_VERSION, "num_classes": self.num_classes,
                       "count": len(self.seqs)}
             fh.write(json.dumps(header) + "\n")
@@ -66,8 +67,8 @@ class LogitDataset:
         """Read a file written by :meth:`save`; raise ValueError naming the
         file for a header of another version, a malformed header or record,
         or a wrong record count."""
-        def parse(raw):
-            header, *rows = map(json.loads, raw.splitlines())
+        def parse(fh):
+            header, *rows = map(json.loads, fh.read().splitlines())
             version, num_classes = header["version"], header["num_classes"]
             if type(version) is not int or version != LDST_VERSION:
                 raise ValueError(f"version {version!r:.40}, expected {LDST_VERSION}")

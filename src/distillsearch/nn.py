@@ -17,8 +17,15 @@ GELU feed-forward block, each followed by residual add + layer-norm;
 classification from the first token through a tanh pooler and a linear
 head. Weights are views into one flat buffer, as are gradients. Every
 artifact, checkpoint or not, loads through :func:`read_artifact`, which names
-the file of any malformed content. A student on a smaller vocabulary maps
-teacher ids in every pass, so every entry point takes teacher ids.
+the file of any malformed content. A checkpoint, a logit dataset and the run
+report are written through :func:`write_artifact`, which replaces the file in
+one step. A student on a smaller vocabulary maps teacher ids in every pass, so
+every entry point takes teacher ids.
+
+A model's weights are held once. :func:`init` draws them, :func:`save_checkpoint`
+writes them and :func:`load_checkpoint` reads and checks them :data:`BLOCK`
+elements at a time, so each adds at most one block to the model's own buffer:
+a load never holds the file's bytes, a whole-payload mask or a second copy.
 
 A model computes in its flat buffer's dtype, float64 or float32: every
 activation, cache entry, gradient and Adam moment takes it. Constants are
@@ -37,7 +44,7 @@ t = 1 / (1 + p |x| / sqrt 2), Phi(-|x|) = poly(t) exp(-x^2 / 2) / 2 and
 Phi = 1/2 + copysign(1/2 - Phi(-|x|), x). Its largest error against float64
 Phi is 1.7e-7, where scipy's float32 erf, which runs its float64 loop at 2 to 4
 times the cost, reads 6e-8. Inference GELU runs over blocks of whole
-sequences of at most :data:`GELU_BLOCK` elements, which bounds its temporaries
+sequences of at most :data:`BLOCK` elements, which bounds its temporaries
 and needs far fewer calls than one sequence at a time. A training pass caches
 GELU(x) over x and GELU'(x) beside it, block by block, so backward does no
 GELU work; float32 takes the gradient's exp(-x^2 / 2) from the kernel of Phi.
@@ -63,9 +70,11 @@ bits depend on how many rows it holds; a single sequence's pass keeps its own.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,6 +85,9 @@ from .archspace import ArchConfig
 LN_EPS = 1e-5
 INIT_STD = 0.02
 DTYPES = (np.dtype(np.float64), np.dtype(np.float32))  # what a model can compute in
+# elements: the most a blockwise pass holds at once, so its temporaries stay this small
+# however large the batch or model: GELU's Phi, init's draws, a checkpoint's payload in transit
+BLOCK = 32768
 
 
 class InvalidInputError(ValueError):
@@ -167,20 +179,28 @@ def init(config: ArchConfig, rng: np.random.Generator | int,
          dtype=np.float64, vocab_map: dict[int, int] | None = None) -> EncoderModel:
     """Seed-deterministic init: N(0, 0.02) matrices, unit LN scales, zero biases, in
     a ``dtype`` buffer (the same fp64 draws, rounded once for float32), for a model
-    that reads ids through ``vocab_map`` when one is given."""
+    that reads ids through ``vocab_map`` when one is given. A matrix is drawn BLOCK
+    values at a time into its own view: a generator's normals do not depend on how
+    the draws are split."""
     dtype = _compute_dtype(dtype)
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     model = EncoderModel(config, np.empty(_layout(config)[-1][-1], dtype=dtype), vocab_map)
-    for name, w in model.weights.items():
-        base = name.split(".")[-1]
-        if base.endswith("_g"):
-            w.fill(1.0)
-        elif base.endswith("_b"):
-            w.fill(0.0)
+    for name, _, start, stop in _layout(config):
+        if name.endswith("_g"):
+            model.flat[start:stop] = 1.0
+        elif name.endswith("_b"):
+            model.flat[start:stop] = 0.0
         else:
-            w[...] = rng.normal(0.0, INIT_STD, size=w.shape)
+            w = model.flat[start:stop]
+            for block in _blocks(w.size):
+                w[block] = rng.normal(0.0, INIT_STD, size=w[block].size)
     return model
+
+
+def _blocks(size: int):
+    """Slices of at most BLOCK consecutive elements that cover ``range(size)``, in order."""
+    return (slice(start, start + BLOCK) for start in range(0, size, BLOCK))
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +255,9 @@ def _layer_norm_bwd(dy, cache):
     return dxhat, dg, db
 
 
-GELU_BLOCK = 32768  # elements: Phi's temporaries stay this small however large the batch
-
-
 def _gelu(x, out=None):
     """x * Phi(x) into ``out``, which may be ``x``, over blocks of whole sequences
-    of at most GELU_BLOCK elements (one sequence when it is larger): (batch, seq,
+    of at most BLOCK elements (one sequence when it is larger): (batch, seq,
     ffn) temporaries would set the peak memory of batched inference. Every step is
     elementwise, so the blocks give the bits one sequence at a time would."""
     out = np.empty_like(x) if out is None else out
@@ -250,8 +267,8 @@ def _gelu(x, out=None):
 
 
 def _sequence_blocks(x):
-    """Slices of x's first axis, each of whole sequences of at most GELU_BLOCK elements."""
-    step = max(1, GELU_BLOCK // math.prod(x.shape[1:]))
+    """Slices of x's first axis, each of whole sequences of at most BLOCK elements."""
+    step = max(1, BLOCK // math.prod(x.shape[1:]))
     return [slice(start, start + step) for start in range(0, len(x), step)]
 
 
@@ -748,24 +765,43 @@ _MAGIC = b"ENCKPT1\n"
 
 
 def save_checkpoint(model: EncoderModel, path) -> None:
+    """Write ``model`` to ``path`` in one step, its payload BLOCK weights at a time:
+    a float32 model's blocks are written as they are, a float64 model's rounded."""
     header = {
         "config": model.config.to_dict(),
         "tensors": [{"name": n, "shape": list(shape)} for n, shape, *_ in _layout(model.config)],
     }
     if model.vocab_map is not None:
         header["vocab_map"] = sorted([int(k), int(v)] for k, v in model.vocab_map.items())
-    with open(path, "wb") as fh:
+    with write_artifact(path) as tmp, tmp.open("wb") as fh:
         fh.write(_MAGIC)
         fh.write(json.dumps(header).encode() + b"\n")
-        fh.write(model.flat.astype("<f4"))
+        for block in _blocks(model.flat.size):
+            fh.write(model.flat[block].astype("<f4", copy=False))
+
+
+@contextlib.contextmanager
+def write_artifact(path):
+    """A temporary path beside ``path`` to write, moved onto ``path`` in one step when
+    the block ends, how a checkpoint, a logit dataset and the run report are written:
+    a write that fails midway leaves the previous file as it was and no temporary."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone after a replace; a failed write leaves none
 
 
 def read_artifact(path, parse):
-    """``parse(bytes of path)``, the one way every artifact loads: malformed content
-    (a number too large for a float among it), or a directory in the file's place,
-    raises ValueError naming the path; a missing file stays FileNotFoundError."""
+    """``parse(path opened for binary reading)``, the one way every artifact loads:
+    malformed content (a number too large for a float among it), or a directory in
+    the file's place, raises ValueError naming the path; a missing file stays
+    FileNotFoundError."""
     try:
-        return parse(Path(path).read_bytes())
+        with Path(path).open("rb") as fh:
+            return parse(fh)
     except (ValueError, KeyError, TypeError, OverflowError, IsADirectoryError) as exc:
         raise ValueError(f"{path}: {exc!r}") from exc
 
@@ -774,14 +810,18 @@ def load_checkpoint(path, dtype=np.float64) -> EncoderModel:
     """Read a checkpoint written by :func:`save_checkpoint` into a ``dtype`` model;
     raise ValueError unless its header lists exactly the tensors its config
     implies, its vocab map sends every id into the config's vocab, the payload
-    holds exactly their bytes and every weight is finite."""
+    holds exactly their bytes and every weight is finite. The payload streams
+    into the model's buffer BLOCK weights at a time, each block checked as it
+    lands: a float32 model reads its blocks in place, a float64 model widens each."""
     dtype = _compute_dtype(dtype)
 
-    def parse(raw: bytes) -> EncoderModel:
-        end = raw.find(b"\n", len(_MAGIC))
-        if not raw.startswith(_MAGIC) or end < 0:
+    def parse(fh) -> EncoderModel:
+        if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError("not a model checkpoint")
-        header = json.loads(raw[len(_MAGIC):end])
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise ValueError("not a model checkpoint")
+        header = json.loads(line)
         config = ArchConfig.from_dict(header["config"])
         tensors = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
         vocab_map = header.get("vocab_map")
@@ -797,14 +837,24 @@ def load_checkpoint(path, dtype=np.float64) -> EncoderModel:
         if tensors != [(name, shape) for name, shape, *_ in layout]:
             raise ValueError("header tensors do not match its config")
         size = layout[-1][-1]
-        if len(raw) - end - 1 != 4 * size:
-            raise ValueError(f"payload is {len(raw) - end - 1} bytes, "
-                             f"its tensors need {4 * size}")
-        payload = np.frombuffer(raw, dtype="<f4", offset=end + 1)
-        finite = np.isfinite(payload)
-        if not finite.all():
-            at = int(np.argmin(finite))
-            name = next(name for name, _, start, stop in layout if start <= at < stop)
-            raise ValueError(f"weight {name} holds a non-finite value, {payload[at]}")
-        return EncoderModel(config, payload.astype(dtype), vocab_map)
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != 4 * size:
+            raise ValueError(f"payload is {payload} bytes, its tensors need {4 * size}")
+        model = EncoderModel(config, np.empty(size, dtype=dtype), vocab_map)
+        direct = model.flat.dtype == np.dtype("<f4")
+        scratch = None if direct else np.empty(min(BLOCK, size), dtype="<f4")
+        for block in _blocks(size):
+            part = model.flat[block]
+            raw = part if direct else scratch[:part.size]
+            if fh.readinto(raw) != raw.nbytes:
+                raise ValueError("payload ended while it was read")
+            finite = np.isfinite(raw)
+            if not finite.all():
+                at = block.start + int(np.argmin(finite))
+                name = next(name for name, _, start, stop in layout if start <= at < stop)
+                raise ValueError(f"weight {name} holds a non-finite value, "
+                                 f"{raw[at - block.start]}")
+            if not direct:
+                part[...] = raw
+        return model
     return read_artifact(path, parse)

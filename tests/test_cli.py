@@ -82,10 +82,10 @@ class TestEstimate:
         path = tmp_path / "cfg.json"
         path.write_text(ArchConfig(layers=1, hidden=16, heads=1, ffn=32, vocab=1000).to_json())
 
-        def refuse(self):
+        def refuse(self, *args, **kwargs):
             raise PermissionError(13, "Permission denied", str(self))
 
-        monkeypatch.setattr(Path, "read_bytes", refuse)
+        monkeypatch.setattr(Path, "open", refuse)
         assert run(tmp_path, "estimate", str(path)) == 3
         assert "Permission denied" in capsys.readouterr().err
 
@@ -297,13 +297,17 @@ class TestErrorContract:
         assert run(captured_dir, "distill", *flag) == 2
         assert not (captured_dir / "student.ckpt").exists()
 
-    @pytest.mark.parametrize("argv", [["teach"], ["search", "--target-mb", "3"], ["distill"]])
+    @pytest.mark.parametrize("argv", [["teach"], ["search", "--target-mb", "3"], ["distill"],
+                                      ["estimate", "reference"], ["capture"], ["bench"],
+                                      ["report"]])
     def test_negative_seed_exit_2_naming_it(self, tmp_path, capsys, argv):
-        # refused by the stage's params, before numpy's seeding could say
-        # "expected non-negative integer" without naming the input
-        assert main(["--out", str(tmp_path), "--seed", "-1", *argv]) == 2
+        # refused once, for every command, before --out is made or any file read:
+        # numpy's seeding would say "expected non-negative integer" without naming
+        # the input, and a command that draws nothing would record the seed
+        out = tmp_path / "run"
+        assert main(["--out", str(out), "--seed", "-1", *argv]) == 2
         err = capsys.readouterr().err
-        assert err.count("error:") == 1 and "rng_seed must be >= 0, got -1" in err
+        assert err.count("error:") == 1 and "--seed must be >= 0, got -1" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_divergence_exit_4(self, small_corpus_dir, monkeypatch):
@@ -317,6 +321,48 @@ class TestErrorContract:
         nn.save_checkpoint(nn.init(TINY_TEACHER, 0), path)
         path.write_bytes(path.read_bytes()[:100])
         assert run(small_corpus_dir, "capture") == 2
+
+
+# writes an artifact under argv[1] from the seed argv[2], every file the process writes
+# capped at argv[3] bytes: a write past the cap fails midway with EFBIG, as on a full disk
+WRITE_CAPPED = """
+import resource, signal, sys
+from pathlib import Path
+import numpy as np
+from distillsearch import cli, distill, nn
+from distillsearch.archspace import ArchConfig
+out, seed, cap = Path(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+if cap:
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (cap, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+"""
+
+
+class TestWriteInOneStep:
+    """A write that fails midway leaves the previous artifact as it was and no temporary."""
+
+    @pytest.mark.parametrize("name, write", [
+        ("m.ckpt", "nn.save_checkpoint(nn.init(ArchConfig(layers=1, hidden=16, heads=2, ffn=32,"
+                   " vocab=5000, max_seq_len=16), seed), out / 'm.ckpt')"),
+        ("d.ldst", "distill.LogitDataset([[1, 2, 3]] * 500, np.random.default_rng(seed).normal("
+                   "size=(500, 2))).save(out / 'd.ldst')"),
+        ("report.json", "sys.exit(cli.main(['--out', str(out), '--seed', str(seed),"
+                        " 'estimate', 'reference']))"),
+    ], ids=["checkpoint", "ldst", "report"])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, name, write):
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPATH": str(Path(nn.__file__).resolve().parents[1])}
+
+        def child(seed, cap):
+            return subprocess.run([sys.executable, "-c", WRITE_CAPPED + write, str(tmp_path),
+                                   str(seed), str(cap)], env=env, capture_output=True, text=True)
+
+        assert child(0, 0).returncode == 0
+        before = (tmp_path / name).read_bytes()
+        failed = child(1, len(before) // 2)
+        assert failed.returncode != 0 and "File too large" in failed.stderr
+        assert (tmp_path / name).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
 
 class TestReport:

@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -677,6 +679,19 @@ class TestPeakMemory:
         nn.backward(model, cache, np.ones_like(logits))
         assert cache["layers"] == []
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_init_save_and_load_hold_the_weights_once(self, tmp_path, dtype):
+        nn.init(self.CFG, 33, dtype)  # first-call set-up, untraced
+        # one block of float64 draws, or of payload and its finiteness mask, and
+        # an allowance for the model's views and the parsed header
+        block = nn.BLOCK * 8 + 64 * 1024
+        model, init_peak, _ = traced(nn.init, self.CFG, 33, dtype)
+        _, save_peak, _ = traced(nn.save_checkpoint, model, tmp_path / "m.ckpt")
+        loaded, load_peak, _ = traced(nn.load_checkpoint, tmp_path / "m.ckpt", dtype)
+        assert init_peak <= model.flat.nbytes + block
+        assert save_peak <= block
+        assert load_peak <= loaded.flat.nbytes + block
+
     # the same bounds at 4 bytes an element (pytest passes no default argument)
     def test_inference_pass_in_float32(self):
         self.test_inference_pass_holds_one_ffn_array_and_a_few_hidden_ones(np.float32)
@@ -839,6 +854,100 @@ class TestCheckpoint:
         path.write_bytes(magic + b"\n" + json.dumps(doc).encode() + b"\n" + payload)
         with pytest.raises(ValueError):
             nn.load_checkpoint(path)
+
+
+# 82,818 weights, three blocks: tok_emb fills the first two and part of the third
+SPAN = ArchConfig(layers=1, hidden=16, heads=2, ffn=32, vocab=5000, max_seq_len=16)
+
+
+class TestCheckpointAcrossBlocks:
+    """A payload longer than one block loads whole or is refused as a one-block one is."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        """A checkpoint of SPAN, its bytes and where its payload starts."""
+        path = tmp_path / "m.ckpt"
+        nn.save_checkpoint(nn.init(SPAN, 20), path)
+        raw = path.read_bytes()
+        return path, raw, raw.index(b"\n", len(b"ENCKPT1\n")) + 1
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_every_block_lands_where_it_belongs(self, tmp_path, dtype):
+        assert nn._layout(SPAN)[-1][-1] > 2 * nn.BLOCK
+        model = nn.init(SPAN, 21, dtype)
+        nn.save_checkpoint(model, tmp_path / "m.ckpt")
+        loaded = nn.load_checkpoint(tmp_path / "m.ckpt", dtype)
+        assert loaded.flat.dtype == dtype
+        assert np.array_equal(loaded.flat, model.flat.astype(np.float32))
+
+    def test_blockwise_draws_are_one_draw_per_matrix(self):
+        model = nn.init(SPAN, 22)
+        rng = np.random.default_rng(22)
+        for name, w in model.weights.items():
+            if not name.endswith(("_g", "_b")):
+                assert np.array_equal(w, rng.normal(0.0, nn.INIT_STD, size=w.shape)), name
+
+    @pytest.mark.parametrize("index, name", [
+        (0, "tok_emb"),                      # the first block's first weight
+        (nn.BLOCK - 1, "tok_emb"),           # its last
+        (nn.BLOCK, "tok_emb"),               # the second block's first
+        (2 * nn.BLOCK + 1, "tok_emb"),       # inside the third
+        (80_000, "pos_emb"),                 # the first tensor after tok_emb, third block
+        (82_817, "cls_b"),                   # the last weight
+    ])
+    def test_nan_named_in_any_block(self, saved, index, name):
+        path, raw, start = saved
+        assert name == next(n for n, _, lo, hi in nn._layout(SPAN) if lo <= index < hi)
+        at = start + 4 * index
+        path.write_bytes(raw[:at] + np.array([np.nan], "<f4").tobytes() + raw[at + 4:])
+        for dtype in (np.float64, np.float32):
+            with pytest.raises(ValueError, match=rf"m\.ckpt.*weight {name} holds .*nan"):
+                nn.load_checkpoint(path, dtype)
+
+    @pytest.mark.parametrize("cut", [nn.BLOCK, 2 * nn.BLOCK])
+    def test_cut_at_a_block_boundary_rejected(self, saved, cut):
+        path, raw, start = saved
+        path.write_bytes(raw[:start + 4 * cut])
+        with pytest.raises(ValueError, match=f"payload is {4 * cut} bytes, its tensors need "
+                                             f"{4 * nn._layout(SPAN)[-1][-1]}"):
+            nn.load_checkpoint(path)
+
+    def test_appended_byte_rejected(self, saved):
+        path, raw, start = saved
+        path.write_bytes(raw + b"\0")
+        with pytest.raises(ValueError, match=f"payload is {len(raw) - start + 1} bytes"):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("fail_at", [0, 1])
+    def test_unreadable_checkpoint_exit_3(self, saved, monkeypatch, capsys, fail_at):
+        # file modes do not bind every user, so the failure is simulated: refused at
+        # open, or an I/O error while the second block streams in
+        path, _, _ = saved
+        path.rename(path.with_name("teacher.ckpt"))
+        real_open = Path.open
+
+        class FailingReader(io.BufferedReader):
+            blocks = 0
+
+            def readinto(self, buffer):
+                self.blocks += 1
+                if self.blocks > 1:
+                    raise OSError(errno.EIO, "Input/output error")
+                return super().readinto(buffer)
+
+        def open_(self, mode="r", *args, **kwargs):
+            if self.name != "teacher.ckpt":
+                return real_open(self, mode, *args, **kwargs)
+            if fail_at == 0:
+                raise PermissionError(errno.EACCES, "Permission denied", str(self))
+            return FailingReader(io.FileIO(self, "rb"))
+
+        monkeypatch.setattr(Path, "open", open_)
+        assert cli.main(["--out", str(path.parent), "capture"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert ("Permission denied", "Input/output error")[fail_at] in err
+        assert not (path.parent / "logits.ldst").exists()
 
 
 class TestPinnedBits:
