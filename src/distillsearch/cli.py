@@ -65,12 +65,6 @@ def _read_report(out: Path) -> dict | None:
     return doc
 
 
-def _write_report(out: Path, doc: dict) -> None:
-    """Replace report.json in one step, so an interrupted write leaves the old file."""
-    with nn.write_artifact(out / "report.json") as tmp:
-        tmp.write_text(json.dumps(doc, indent=2))
-
-
 def _read_config(path) -> ArchConfig:
     return nn.read_artifact(path, lambda fh: ArchConfig.from_json(fh.read()))
 
@@ -146,8 +140,8 @@ def cmd_search(args, out: Path) -> dict:
         num_classes=args.num_classes)
     result = gasearch.search(default_table1(), params)
     doc = result.to_dict()
-    (out / "ga_result.json").write_text(json.dumps(doc, indent=2))
-    (out / "arch.json").write_text(json.dumps(doc["best"], indent=2))
+    nn.write_artifact(out / "ga_result.json", [json.dumps(doc, indent=2).encode()])
+    nn.write_artifact(out / "arch.json", [json.dumps(doc["best"], indent=2).encode()])
     print(f"best architecture: {doc['best']}")
     print(f"size {doc['size_mb']:.3f} MB, fitness {doc['best_fitness']:.4f} "
           f"(optimum {doc['optimum_fitness']:.4f}, regret {doc['regret']:.4f}), "
@@ -239,15 +233,20 @@ def _bench_model(model, sequences, repeats):
 
 
 def cmd_bench(args, out: Path) -> dict:
-    ckpts = args.checkpoints or ["teacher.ckpt", "student.ckpt"]
-    paths = [_require(out / name, "teach/distill") for name in ckpts]  # an absolute name stays
+    for flag in ("n", "repeats", "seq_len", "threads"):  # refused before any file is read
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= 1, got {getattr(args, flag)}")
+    paths = [out / name for name in args.checkpoints or ["teacher.ckpt", "student.ckpt"]]
+    names = [path.name for path in paths]  # an absolute name stays; results are keyed by name
+    if shared := [name for name in names if names.count(name) > 1]:
+        raise ValueError(f"two checkpoints share the file name {shared[0]}")
+    paths = [_require(path, "teach/distill") for path in paths]
     data = _load_or_generate_corpus(out, args.seed)
     rng = np.random.default_rng(args.seed)
     idx = rng.choice(len(data.test), size=min(args.n, len(data.test)), replace=False)
     sample = [data.test[i].ids for i in idx]
-    if not sample or args.repeats < 1 or args.seq_len < 1:
-        raise ValueError("bench needs --n >= 1, --repeats >= 1, --seq-len >= 1 "
-                         "and a non-empty test split")
+    if not sample:
+        raise ValueError("bench needs a non-empty test split")
 
     results = {}
     try:
@@ -272,7 +271,6 @@ def cmd_bench(args, out: Path) -> dict:
 
     report = {"n": len(sample), "repeats": args.repeats, "threads": threads,
               "corpus_seed": data.spec.rng_seed, "dtype": COMPUTE_DTYPE.name, "models": results}
-    names = [p.name for p in paths]
     if len(names) == 2:
         a, b = results[names[0]]["grand_mean_s"], results[names[1]]["grand_mean_s"]
         report["latency_ratio"] = b / a
@@ -361,7 +359,8 @@ def main(argv=None) -> int:
         report = {"command": args.command, "seed": args.seed,
                   "wall_time_s": time.perf_counter() - start,
                   "provenance": _provenance(), **body}
-        _write_report(out, {**(previous or {}), args.command: report})
+        nn.write_artifact(out / "report.json", [json.dumps(
+            {**(previous or {}), args.command: report}, indent=2).encode()])
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))

@@ -156,17 +156,21 @@ def train_teacher(config: ArchConfig, labeled: list[Example],
 
 
 def save_corpus(corpus: Corpus, out_dir) -> None:
+    """Write the four splits, then ``task_spec.json``, each in one step: a corpus whose
+    spec exists is complete, so a save that fails midway leaves no spec."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "task_spec.json").write_text(json.dumps(asdict(corpus.spec), indent=2))
+    (out / "task_spec.json").unlink(missing_ok=True)
+
+    def lines(records):
+        return (json.dumps(rec).encode() + b"\n" for rec in records)
+
     for name, split in (("labeled", corpus.labeled), ("val", corpus.val),
                         ("test", corpus.test)):
-        with open(out / f"{name}.jsonl", "w") as fh:
-            for ex in split:
-                fh.write(json.dumps({"ids": ex.ids, "label": ex.label}) + "\n")
-    with open(out / "unlabeled.jsonl", "w") as fh:
-        for ids in corpus.unlabeled:
-            fh.write(json.dumps({"ids": ids}) + "\n")
+        nn.write_artifact(out / f"{name}.jsonl",
+                          lines({"ids": ex.ids, "label": ex.label} for ex in split))
+    nn.write_artifact(out / "unlabeled.jsonl", lines({"ids": ids} for ids in corpus.unlabeled))
+    nn.write_artifact(out / "task_spec.json", [json.dumps(asdict(corpus.spec), indent=2).encode()])
 
 
 def _parse_spec(fh) -> SyntheticTaskSpec:

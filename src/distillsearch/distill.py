@@ -17,6 +17,7 @@ the map of :func:`build_vocab_map` reads teacher ids; no caller maps an id.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -54,13 +55,12 @@ class LogitDataset:
 
     def save(self, path) -> None:
         """Write the dataset to ``path`` in one step, a header line and a record a line."""
-        with nn.write_artifact(path) as tmp, tmp.open("w") as fh:
-            header = {"version": LDST_VERSION, "num_classes": self.num_classes,
-                      "count": len(self.seqs)}
-            fh.write(json.dumps(header) + "\n")
-            for ids, row in zip(self.seqs, self.logits.tolist()):
-                fh.write(json.dumps({"ids": list(map(int, ids)), "logits": row},
-                                    allow_nan=False) + "\n")
+        header = {"version": LDST_VERSION, "num_classes": self.num_classes,
+                  "count": len(self.seqs)}
+        records = ({"ids": list(map(int, ids)), "logits": row}
+                   for ids, row in zip(self.seqs, self.logits.tolist()))
+        nn.write_artifact(path, (json.dumps(doc, allow_nan=False).encode() + b"\n"
+                                 for doc in itertools.chain([header], records)))
 
     @classmethod
     def load(cls, path) -> "LogitDataset":

@@ -17,10 +17,9 @@ GELU feed-forward block, each followed by residual add + layer-norm;
 classification from the first token through a tanh pooler and a linear
 head. Weights are views into one flat buffer, as are gradients. Every
 artifact, checkpoint or not, loads through :func:`read_artifact`, which names
-the file of any malformed content. A checkpoint, a logit dataset and the run
-report are written through :func:`write_artifact`, which replaces the file in
-one step. A student on a smaller vocabulary maps teacher ids in every pass, so
-every entry point takes teacher ids.
+the file of any malformed content, and is written through :func:`write_artifact`,
+which replaces the file in one step. A student on a smaller vocabulary maps
+teacher ids in every pass, so every entry point takes teacher ids.
 
 A model's weights are held once. :func:`init` draws them, :func:`save_checkpoint`
 writes them and :func:`load_checkpoint` reads and checks them :data:`BLOCK`
@@ -70,8 +69,8 @@ bits depend on how many rows it holds; a single sequence's pass keeps its own.
 
 from __future__ import annotations
 
-import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -86,7 +85,7 @@ LN_EPS = 1e-5
 INIT_STD = 0.02
 DTYPES = (np.dtype(np.float64), np.dtype(np.float32))  # what a model can compute in
 # elements: the most a blockwise pass holds at once, so its temporaries stay this small
-# however large the batch or model: GELU's Phi, init's draws, a checkpoint's payload in transit
+# however large the batch or model: GELU's Phi, init's draws, Adam's update, a checkpoint
 BLOCK = 32768
 
 
@@ -637,7 +636,6 @@ def _linear_backward(x, dy, w, name, grads):
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-ADAM_CHUNK = 32768  # elements: this much of each of the update's six buffers stays in cache
 
 
 @dataclass
@@ -650,8 +648,7 @@ class TrainState:
     def __post_init__(self):
         self.adam_m = np.zeros_like(self.model.flat)
         self.adam_v = np.zeros_like(self.model.flat)
-        self.scratch = np.empty((2, min(ADAM_CHUNK, self.model.flat.size)),
-                                dtype=self.model.flat.dtype)
+        self.scratch = np.empty((2, min(BLOCK, self.model.flat.size)), self.model.flat.dtype)
 
 
 def clip_global_norm(grad: np.ndarray, config: ArchConfig, max_norm: float) -> float:
@@ -668,13 +665,13 @@ def clip_global_norm(grad: np.ndarray, config: ArchConfig, max_norm: float) -> f
 
 
 def sgd_adam_step(state: TrainState, grad: np.ndarray, lr: float) -> TrainState:
-    """In-place Adam update from the flat gradient ``grad``, ADAM_CHUNK elements
-    at a time; returns the same state with step advanced by 1."""
+    """In-place Adam update from the flat gradient ``grad``, BLOCK elements at a
+    time, so each of the update's six buffers stays in cache; returns the same
+    state with step advanced by 1."""
     t = state.step + 1
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for start in range(0, grad.size, ADAM_CHUNK):
-        part = slice(start, start + ADAM_CHUNK)
+    for part in _blocks(grad.size):
         g, m, v = grad[part], state.adam_m[part], state.adam_v[part]
         update, denom = state.scratch[:, :g.size]
         m *= ADAM_BETA1
@@ -773,22 +770,21 @@ def save_checkpoint(model: EncoderModel, path) -> None:
     }
     if model.vocab_map is not None:
         header["vocab_map"] = sorted([int(k), int(v)] for k, v in model.vocab_map.items())
-    with write_artifact(path) as tmp, tmp.open("wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(json.dumps(header).encode() + b"\n")
-        for block in _blocks(model.flat.size):
-            fh.write(model.flat[block].astype("<f4", copy=False))
+    write_artifact(path, itertools.chain(
+        (_MAGIC, json.dumps(header).encode() + b"\n"),
+        (model.flat[block].astype("<f4", copy=False) for block in _blocks(model.flat.size))))
 
 
-@contextlib.contextmanager
-def write_artifact(path):
-    """A temporary path beside ``path`` to write, moved onto ``path`` in one step when
-    the block ends, how a checkpoint, a logit dataset and the run report are written:
-    a write that fails midway leaves the previous file as it was and no temporary."""
+def write_artifact(path, chunks) -> None:
+    """Write the bytes-like ``chunks``, in order, to a temporary file beside ``path``
+    and move it onto ``path`` in one step, the one way every artifact is written:
+    a write that fails midway leaves the previous file as it was and no temporary.
+    A generator of chunks is written as it yields, one chunk held at a time."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        yield tmp
+        with tmp.open("wb") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # gone after a replace; a failed write leaves none

@@ -338,6 +338,14 @@ if cap:
 """
 
 
+def capped(out, write, seed, cap):
+    """Run ``write`` in a child process as WRITE_CAPPED sets it up."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(nn.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", WRITE_CAPPED + write, str(out), str(seed),
+                           str(cap)], env=env, capture_output=True, text=True)
+
+
 class TestWriteInOneStep:
     """A write that fails midway leaves the previous artifact as it was and no temporary."""
 
@@ -350,19 +358,40 @@ class TestWriteInOneStep:
                         " 'estimate', 'reference']))"),
     ], ids=["checkpoint", "ldst", "report"])
     def test_failed_write_keeps_the_previous_file(self, tmp_path, name, write):
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
-               "PYTHONPATH": str(Path(nn.__file__).resolve().parents[1])}
-
-        def child(seed, cap):
-            return subprocess.run([sys.executable, "-c", WRITE_CAPPED + write, str(tmp_path),
-                                   str(seed), str(cap)], env=env, capture_output=True, text=True)
-
-        assert child(0, 0).returncode == 0
+        assert capped(tmp_path, write, 0, 0).returncode == 0
         before = (tmp_path / name).read_bytes()
-        failed = child(1, len(before) // 2)
+        failed = capped(tmp_path, write, 1, len(before) // 2)
         assert failed.returncode != 0 and "File too large" in failed.stderr
         assert (tmp_path / name).read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+    def test_failed_search_rerun_keeps_ga_result_and_arch(self, tmp_path):
+        search = ("sys.exit(cli.main(['--out', str(out), '--seed', str(seed), 'search',"
+                  " '--target-mb', '3', '--iterations', '2', '--population', '5',"
+                  " '--child-size', '5']))")
+        assert capped(tmp_path, search, 0, 0).returncode == 0
+        names = ["arch.json", "ga_result.json", "report.json"]
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+        failed = capped(tmp_path, search, 1, 300)
+        assert failed.returncode == 3 and "File too large" in failed.stderr
+        assert {name: (tmp_path / name).read_bytes() for name in names} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+    def test_failed_corpus_save_leaves_no_spec_and_the_next_command_regenerates(
+            self, tmp_path):
+        save = ("from distillsearch import corpus\n"
+                "corpus.save_corpus(corpus.generate(corpus.SyntheticTaskSpec(vocab_size=300,"
+                " n_labeled=200, n_unlabeled=200, n_val=50, n_test=50, rng_seed=seed)), out)")
+        assert capped(tmp_path, save, 0, 0).returncode == 0
+        failed = capped(tmp_path, save, 1, (tmp_path / "test.jsonl").stat().st_size // 2)
+        assert failed.returncode != 0 and "File too large" in failed.stderr
+        assert not (tmp_path / "task_spec.json").exists()
+        assert not list(tmp_path.glob("*.tmp"))
+        # the spec's absence sends the next command to generate the seed's corpus afresh
+        teacher = dataclasses.replace(TINY_TEACHER, vocab=2000, max_seq_len=24)
+        nn.save_checkpoint(nn.init(teacher, 0), tmp_path / "teacher.ckpt")
+        assert run(tmp_path, "--seed", "2", "capture") == 0
+        assert corpus.load_corpus(tmp_path).spec == corpus.SyntheticTaskSpec(rng_seed=2)
 
 
 class TestReport:
@@ -391,22 +420,29 @@ class TestReport:
         assert len(err) == 1 and err[0].startswith("error: ") and "No space left" in err[0]
         assert (tmp_path / "report.json").read_text() == before
 
-    @pytest.mark.parametrize("failing", ["write_text", "replace"])
+    @pytest.mark.parametrize("failing", ["write", "replace"])
     def test_failed_report_write_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys,
                                                      failing):
-        real_write_text = Path.write_text
+        # both injections hit report.json alone; the command's own artifacts write first
+        real_open, real_replace = Path.open, os.replace
 
-        def write_half(path, data, *args, **kwargs):
-            if path.name != "report.json.tmp":
-                return real_write_text(path, data, *args, **kwargs)
-            real_write_text(path, data[: len(data) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        def open_half(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            if path.name == "report.json.tmp":
+                def write_half(chunks):
+                    data = b"".join(chunks)
+                    fh.write(data[: len(data) // 2])
+                    raise OSError(errno.ENOSPC, "No space left on device", str(path))
+                fh.writelines = write_half
+            return fh
 
         def refuse(src, dst):
+            if Path(dst).name != "report.json":
+                return real_replace(src, dst)
             raise OSError(errno.ENOSPC, "No space left on device", str(dst))
 
-        if failing == "write_text":
-            monkeypatch.setattr(Path, "write_text", write_half)
+        if failing == "write":
+            monkeypatch.setattr(Path, "open", open_half)
         else:
             monkeypatch.setattr(os, "replace", refuse)
         assert run(tmp_path, "search", "--target-mb", "3", "--iterations", "2",
@@ -668,12 +704,33 @@ class TestRunExplainsItself:
             assert report_entry(damaged, command)["provenance"]["numpy"] == np.__version__
 
     @pytest.mark.parametrize("flag", [["--n", "0"], ["--repeats", "0"], ["--seq-len", "0"],
-                                      ["--seq-len", "-3"]])
-    def test_bench_empty_sample_exit_2(self, damaged, flag, monkeypatch):
-        timed = []
+                                      ["--seq-len", "-3"], ["--n", "-1"], ["--threads", "0"]])
+    def test_bench_empty_sample_exit_2(self, damaged, flag, monkeypatch, capsys):
+        timed, reads = [], []
         monkeypatch.setattr(cli, "_bench_model", lambda *args: timed.append(args) or [1.0])
+        read_artifact = nn.read_artifact
+        monkeypatch.setattr(nn, "read_artifact",
+                            lambda path, parse: reads.append(Path(path).name)
+                            or read_artifact(path, parse))
+        capsys.readouterr()
         assert run(damaged, "bench", *flag) == 2
         assert timed == []  # refused before any model is timed
+        assert reads == ["report.json"]  # and before any artifact of its own is read
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and f"{flag[0]} must be >= 1, got {flag[1]}" in err
+
+    def test_bench_refuses_two_checkpoints_of_one_name(self, damaged, monkeypatch, capsys):
+        # results are keyed by file name, so the pair would merge into one entry
+        for sub, name in (("a", "teacher.ckpt"), ("b", "student.ckpt")):
+            (damaged / sub).mkdir()
+            shutil.copy(damaged / name, damaged / sub / "model.ckpt")
+        timed = []
+        monkeypatch.setattr(cli, "_bench_model", lambda *args: timed.append(args) or [1.0])
+        capsys.readouterr()
+        assert run(damaged, "bench", "a/model.ckpt", "b/model.ckpt") == 2
+        assert timed == []
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "share the file name model.ckpt" in err
 
 
 def child_prints(probe: str) -> str:

@@ -643,7 +643,7 @@ class TestPeakMemory:
         params = nn.TrainParams(epochs=1, batch_size=B, dtype=dtype)
         _, peak, _ = traced(nn.train_loop, model, rng, seqs, loss_and_grad, params)
         itemsize = np.dtype(dtype).itemsize
-        grad_and_adam = 3 * model.flat.nbytes + 2 * nn.ADAM_CHUNK * itemsize
+        grad_and_adam = 3 * model.flat.nbytes + 2 * nn.BLOCK * itemsize
         # one (B, s, hidden) array of slack for the batch's ids, logits and loss
         assert peak < (cache_bytes + backward_peak + grad_and_adam
                        + B * s * self.CFG.hidden * itemsize)
